@@ -1,6 +1,6 @@
-"""Tracked backend-kernel benchmarks (the PR-8 scoreboard).
+"""Tracked fleet-batched kernel benchmarks (the ``BENCH_PR8.json`` scoreboard).
 
-Five sections, written into the ``fleet_kernels`` block of
+Three sections, written into the ``fleet_kernels`` block of
 ``BENCH_PR8.json``:
 
 * **identity** — asserted *before any timing*: (a) the serving
@@ -13,20 +13,10 @@ Five sections, written into the ``fleet_kernels`` block of
   to scipy's ``brentq`` result, and every geometry the scalar path
   rejects must come back ``valid=False``.
 * **headline** — amortized steady-state ingest cost (µs/sample) of the
-  batched pool at 1000 sessions on the NumPy backend, measured against
+  batched pool at 1000 sessions, measured against
   the *tracked PR-6 batched baseline* read from ``BENCH_PR6.json``.
   The tracked targets: >= 1.5x improvement over that baseline and an
   absolute cost <= 1.2 µs/sample.
-* **small_fleet** — the 10-session row: the packed round (default)
-  against the scalar-round escape hatch (``small_fleet_cutoff``), plus
-  the improvement over the PR-6 10-session occupancy row. This is the
-  measurement behind ``BatchedSessionPool.SMALL_FLEET_CUTOFF = 0``:
-  with the backend-wide kernels the packed round wins even at tiny
-  occupancy.
-* **backends** — per-backend µs/sample on a medium fleet: NumPy
-  (bit-identical reference), float32 (tolerance-bounded credit totals),
-  and a clean skip for backends whose dependency is absent (numba
-  without the package).
 * **bounce_kernel** — the solver microbenchmark: one
   ``solve_bounce_block`` call against the equivalent scalar loop at a
   fleet-scale row count.
@@ -44,7 +34,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,13 +45,11 @@ from bench_batch import (
     assert_batched_identity,
 )
 from repro.core.bounce import GeometryError, solve_bounce, solve_bounce_block
-from repro.exceptions import ConfigurationError
-from repro.runtime.backends import available_backends, get_backend
 from repro.serving import BatchedSessionPool, SessionPool, synthesize_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: Tracked targets for the 1000-session NumPy headline.
+#: Tracked targets for the 1000-session headline.
 TARGET_IMPROVEMENT = 1.5
 TARGET_US_PER_SAMPLE = 1.2
 #: Check-mode regression gate: fail below this fraction of the tracked
@@ -71,7 +59,6 @@ CHECK_REGRESSION_FLOOR = 0.8
 #: PR-6 fallbacks, used only when ``BENCH_PR6.json`` is unreadable
 #: (the tracked file is the source of truth).
 _PR6_BATCHED_US_FALLBACK = 1.967118483333555
-_PR6_OCCUPANCY_10_US_FALLBACK = 5.197
 
 
 # ----------------------------------------------------------------------
@@ -87,19 +74,11 @@ def load_pr6_baseline() -> Dict[str, Any]:
         headline_us = float(
             fleet["batched_vs_lockstep"]["batched_us_per_sample"]
         )
-        ten = next(
-            r for r in fleet["occupancy"]["rows"] if r["sessions"] == 10
-        )
-        return {
-            "source": str(path.name),
-            "batched_us_per_sample": headline_us,
-            "occupancy_10_us_per_sample": float(ten["us_per_sample"]),
-        }
-    except (OSError, KeyError, ValueError, StopIteration):
+        return {"source": str(path.name), "batched_us_per_sample": headline_us}
+    except (OSError, KeyError, ValueError):
         return {
             "source": "fallback-constants",
             "batched_us_per_sample": _PR6_BATCHED_US_FALLBACK,
-            "occupancy_10_us_per_sample": _PR6_OCCUPANCY_10_US_FALLBACK,
         }
 
 
@@ -181,13 +160,11 @@ def assert_bounce_differential(
 # ----------------------------------------------------------------------
 
 
-def _best_pool_us(
-    workloads, reps: int, pool_cls=BatchedSessionPool, **pool_kw
-) -> float:
+def _best_pool_us(workloads, reps: int, pool_cls=BatchedSessionPool) -> float:
     """Best-of-``reps`` steady-state µs/sample, fresh pool per rep."""
     best = float("inf")
     for _rep in range(reps):
-        pool = pool_cls(SAMPLE_RATE_HZ, **pool_kw)
+        pool = pool_cls(SAMPLE_RATE_HZ)
         sids = pool.add_sessions([w.profile for w in workloads])
         wall, total = _timed_ingest(pool, workloads, sids)
         pool.flush(sids)
@@ -196,7 +173,7 @@ def _best_pool_us(
 
 
 def _warmup(workloads) -> None:
-    """Untimed pass priming filter design, ufunc loops, backend JIT."""
+    """Untimed pass priming filter design and ufunc loops."""
     warm = workloads[: max(1, len(workloads) // 16)]
     pool = BatchedSessionPool(SAMPLE_RATE_HZ)
     sids = pool.add_sessions([w.profile for w in warm])
@@ -216,7 +193,7 @@ def bench_headline(
     seed: int = 82,
     baseline: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """1000-session NumPy µs/sample vs the tracked PR-6 batched row."""
+    """1000-session µs/sample vs the tracked ``BENCH_PR6.json`` batched row."""
     if baseline is None:
         baseline = load_pr6_baseline()
     workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
@@ -229,7 +206,6 @@ def bench_headline(
         "duration_s": duration_s,
         "batch_samples": BATCH_SAMPLES,
         "reps": reps,
-        "backend": "numpy",
         "us_per_sample": us,
         "baseline_us_per_sample": base_us,
         "baseline_source": baseline["source"],
@@ -239,101 +215,6 @@ def bench_headline(
         "improvement_ok": bool(improvement >= TARGET_IMPROVEMENT),
         "absolute_ok": bool(us <= TARGET_US_PER_SAMPLE),
     }
-
-
-def bench_small_fleet(
-    n_sessions: int = 10,
-    duration_s: float = 60.0,
-    reps: int = 3,
-    seed: int = 83,
-    baseline: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """The 10-session row: packed round vs the scalar escape hatch."""
-    if baseline is None:
-        baseline = load_pr6_baseline()
-    workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
-    _warmup(workloads)
-    packed_us = _best_pool_us(workloads, reps, small_fleet_cutoff=0)
-    scalar_us = _best_pool_us(
-        workloads, reps, small_fleet_cutoff=10**9
-    )
-    base_us = baseline["occupancy_10_us_per_sample"]
-    return {
-        "n_sessions": n_sessions,
-        "duration_s": duration_s,
-        "reps": reps,
-        "packed_us_per_sample": packed_us,
-        "scalar_round_us_per_sample": scalar_us,
-        "packed_beats_scalar": bool(packed_us <= scalar_us),
-        "baseline_us_per_sample": base_us,
-        "baseline_source": baseline["source"],
-        "improvement_x": base_us / packed_us,
-        "default_small_fleet_cutoff": BatchedSessionPool.SMALL_FLEET_CUTOFF,
-    }
-
-
-def bench_backend_rows(
-    n_sessions: int = 200,
-    duration_s: float = 10.0,
-    reps: int = 2,
-    seed: int = 84,
-) -> Dict[str, Any]:
-    """Per-backend µs/sample rows on one medium fleet."""
-    workloads = synthesize_workload(n_sessions, duration_s, seed=seed)
-    _warmup(workloads)
-    rows: List[Dict[str, Any]] = []
-    ref_steps: Optional[int] = None
-    # NumPy first: it is the bit-identical reference the tolerance
-    # backends' credit totals are checked against.
-    ordered = sorted(
-        available_backends().items(), key=lambda kv: (kv[0] != "numpy", kv[0])
-    )
-    for name, (available, detail) in ordered:
-        if not available:
-            rows.append(
-                {"backend": name, "status": "skipped", "detail": detail}
-            )
-            continue
-        try:
-            backend = get_backend(name)
-        except ConfigurationError as exc:
-            rows.append(
-                {"backend": name, "status": "skipped", "detail": str(exc)}
-            )
-            continue
-        best = float("inf")
-        steps = 0
-        for _rep in range(reps):
-            pool = BatchedSessionPool(SAMPLE_RATE_HZ, backend=backend)
-            sids = pool.add_sessions([w.profile for w in workloads])
-            wall, total = _timed_ingest(pool, workloads, sids)
-            pool.flush(sids)
-            best = min(best, 1e6 * wall / total)
-            steps = pool.total_steps
-        row = {
-            "backend": name,
-            "status": "bit_identical"
-            if backend.bit_identical
-            else "tolerance",
-            "detail": detail,
-            "us_per_sample": best,
-            "total_steps": steps,
-        }
-        if backend.bit_identical:
-            if ref_steps is None:
-                ref_steps = steps
-            assert steps == ref_steps, (
-                f"backend {name}: {steps} steps vs bit-identical "
-                f"reference {ref_steps}"
-            )
-        elif ref_steps is not None:
-            tol = max(2, int(round(0.02 * ref_steps)))
-            assert abs(steps - ref_steps) <= tol, (
-                f"backend {name}: {steps} steps vs {ref_steps} reference "
-                f"(tolerance {tol})"
-            )
-        rows.append(row)
-    return {"n_sessions": n_sessions, "duration_s": duration_s, "rows": rows}
 
 
 def bench_bounce_kernel(
@@ -411,10 +292,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
         headline = bench_headline(
             n_sessions=32, duration_s=8.0, reps=1, baseline=baseline
         )
-        small_fleet = bench_small_fleet(
-            n_sessions=4, duration_s=8.0, reps=1, baseline=baseline
-        )
-        backends = bench_backend_rows(n_sessions=8, duration_s=8.0, reps=1)
         bounce_kernel = bench_bounce_kernel(n_rows=512, reps=2)
         tracked = load_tracked_check_reference()
         if tracked is None:
@@ -436,8 +313,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
             "identity": identity,
             "bounce_differential": differential,
             "headline": headline,
-            "small_fleet": small_fleet,
-            "backends": backends,
             "bounce_kernel": bounce_kernel,
             "check_reference": reference,
             "regression": regression,
@@ -446,8 +321,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
     identity = assert_batched_identity()
     differential = assert_bounce_differential()
     headline = bench_headline(baseline=baseline)
-    small_fleet = bench_small_fleet(baseline=baseline)
-    backends = bench_backend_rows()
     bounce_kernel = bench_bounce_kernel()
     reference = measure_check_reference()
     return {
@@ -455,8 +328,6 @@ def run_fleet_kernels(check: bool = False) -> Dict[str, Any]:
         "identity": identity,
         "bounce_differential": differential,
         "headline": headline,
-        "small_fleet": small_fleet,
-        "backends": backends,
         "bounce_kernel": bounce_kernel,
         "check_reference": reference,
         "regression": {"status": "full_run", "regression_ok": True},

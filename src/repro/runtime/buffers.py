@@ -8,9 +8,8 @@ is meant to amortise; :class:`FleetBatchBuffer` hands out views over
 per-key backing arrays that only ever grow.
 
 Historically this lived in :mod:`repro.serving.batch`; it moved here so
-the kernel layers (:mod:`repro.core.batched`,
-:mod:`repro.runtime.backends`) can accept scratch without importing the
-serving layer. The old import path still re-exports it.
+the kernel layers (:mod:`repro.core.batched`) can accept scratch
+without importing the serving layer. The old import path still re-exports it.
 """
 
 from __future__ import annotations

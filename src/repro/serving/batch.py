@@ -8,7 +8,7 @@ times. :class:`BatchedSessionPool` restructures the round so each stage
 runs **once for the whole fleet**:
 
 1. the pending filter blocks of every due session are column-stacked by
-   length and low-passed in one backend call per length group;
+   length and low-passed in one ``sosfiltfilt`` call per length group;
 2. every session's segmentation window is packed into one concatenated
    signal and scanned by a single peak/valley kernel dispatch
    (:func:`repro.signal.batched.batched_segment_windows`);
@@ -22,12 +22,11 @@ runs **once for the whole fleet**:
 Per-session *state* transitions (boundary bookkeeping, cycle admission,
 streak classification, crediting, trimming) still run session by
 session through the seams :class:`~repro.core.streaming.StreamingPTrack`
-exposes — the numeric kernels between them are what gets batched. With
-the default NumPy backend every batched kernel is bit-identical to its
-scalar reference, so credits satisfy the serving equivalence oracle
-``serial == pooled == sharded == batched``; alternate backends (see
-:mod:`repro.runtime.backends`) trade that for throughput under a
-documented tolerance policy.
+exposes — the numeric kernels between them are what gets batched.
+Every batched kernel is bit-identical to its scalar reference, so
+credits satisfy the serving equivalence oracle
+``serial == pooled == sharded == batched``. There is one round
+implementation; the lockstep :class:`SessionPool` is its reference.
 
 Failure isolation matches the lockstep pool: an exception attributable
 to one session marks only that session failed and the round continues
@@ -45,14 +44,11 @@ from repro.core.batched import (
     batched_cycle_solutions,
     batched_stage_measurements,
 )
-from repro.core.config import PTrackConfig
 from repro.core.streaming import StagedCycle
-from repro.faults.policy import FaultPolicy
-from repro.runtime.backends import ComputeBackend, get_backend
 from repro.runtime.buffers import FleetBatchBuffer
 from repro.serving.pool import SessionPool
 from repro.signal.batched import batched_segment_windows
-from repro.telemetry.registry import MetricsRegistry
+from repro.signal.filters import butter_lowpass
 from repro.types import StepEvent, StrideEstimate
 
 # FleetBatchBuffer historically lived here; it moved to
@@ -65,110 +61,31 @@ class BatchedSessionPool(SessionPool):
     """A session pool whose ingest rounds run fleet-batched kernels.
 
     Drop-in replacement for :class:`SessionPool` — same constructor,
-    same ``append``/``flush``/failure-isolation contract, and (with the
-    default NumPy backend) bit-identical per-session credits and
-    op-stats. What changes is *how* each round computes: one kernel
-    dispatch per stage per round instead of per session.
-
-    Args:
-        backend: Compute backend for the batched kernels — a
-            :class:`~repro.runtime.backends.ComputeBackend`, a registry
-            name (``"numpy"``, ``"float32"``, ``"numba"``), or ``None``
-            to consult ``PTRACK_BACKEND`` and default to NumPy. Only
-            bit-identical backends preserve the crediting-equivalence
-            oracle; see :mod:`repro.runtime.backends` for the
-            per-kernel tolerance policy of the alternates.
-        small_fleet_cutoff: Rounds with at most this many due sessions
-            skip the fleet packing/stacking machinery and run the
-            lockstep scalar round instead. Only taken on bit-identical
-            backends (the scalar round *is* the reference, so credits
-            are unchanged by construction); ``0`` disables the fast
-            path. ``None`` uses :attr:`SMALL_FLEET_CUTOFF` — currently
-            ``0``: with the backend-wide kernels the packed round beats
-            the scalar round at every measured occupancy (1–10 due
-            sessions; see the ``small_fleet`` section of
-            ``BENCH_PR8.json``), so the scalar path is an escape hatch
-            for deployments whose profile says otherwise, not a
-            default.
-
-    All other arguments are inherited from :class:`SessionPool`.
+    same ``append``/``flush``/failure-isolation contract, and
+    bit-identical per-session credits and op-stats. What changes is
+    *how* each round computes: one kernel dispatch per stage per round
+    instead of per session. Every round takes the packed path, even
+    with one due session: the ``small_fleet`` rows of
+    ``BENCH_PR8.json`` measured it beating the per-session round at
+    every occupancy from 1 to 10.
     """
 
     ROUND_SECONDS_METRIC = "serving_batch_round_seconds"
     APPENDS_METRIC = "serving_batch_appends_total"
     SESSIONS_GAUGE_METRIC = "serving_batch_sessions"
 
-    #: Default ``small_fleet_cutoff``. 0 = packed rounds at every
-    #: occupancy: measured on the tracked workload, the packed round
-    #: wins even at one due session once measurement/integration/bounce
-    #: all dispatch through backend kernels (BENCH_PR8 ``small_fleet``
-    #: rows), so delegating small rounds to the scalar path would be a
-    #: pessimisation, not a fast path.
-    SMALL_FLEET_CUTOFF = 0
-
-    def __init__(
-        self,
-        sample_rate_hz: float,
-        config: Optional[PTrackConfig] = None,
-        settle_s: float = 2.5,
-        max_buffer_s: float = 30.0,
-        fault_policy: Optional[FaultPolicy] = None,
-        isolate_failures: bool = True,
-        telemetry: Optional[MetricsRegistry] = None,
-        backend: Optional[Union[str, ComputeBackend]] = None,
-        small_fleet_cutoff: Optional[int] = None,
-        **pool_kwargs: Any,
-    ) -> None:
-        super().__init__(
-            sample_rate_hz,
-            config=config,
-            settle_s=settle_s,
-            max_buffer_s=max_buffer_s,
-            fault_policy=fault_policy,
-            isolate_failures=isolate_failures,
-            telemetry=telemetry,
-            **pool_kwargs,
-        )
-        self._backend = get_backend(backend)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._buffers = FleetBatchBuffer()
-        self._small_fleet_cutoff = (
-            self.SMALL_FLEET_CUTOFF
-            if small_fleet_cutoff is None
-            else small_fleet_cutoff
-        )
         if self._telemetry is not None:
             reg = self._telemetry
             self._m_rounds = reg.counter("serving_batch_rounds_total")
             self._m_occupancy = reg.gauge("serving_batch_occupancy")
 
-    @property
-    def backend(self) -> ComputeBackend:
-        """The compute backend the batched kernels dispatch to."""
-        return self._backend
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
     def _backend_identity(self) -> Optional[str]:
-        """Echo the backend name into pool snapshots: only the exact
-        same backend is guaranteed to resume bit-identically (float32
-        is tolerance-bounded, not bit-identical), so restore refuses a
-        snapshot taken under any other backend."""
-        return self._backend.name
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: Dict[str, object],
-        telemetry: Optional[MetricsRegistry] = None,
-        **kwargs: object,
-    ) -> "BatchedSessionPool":
-        """Build a batched pool resuming ``snapshot``, reconstructing
-        the snapshot's own compute backend by name."""
-        kwargs.setdefault("backend", snapshot.get("backend"))
-        return super().from_snapshot(  # type: ignore[return-value]
-            snapshot, telemetry=telemetry, **kwargs
-        )
+        """Pool snapshots record ``"numpy"``: the batched pool's
+        snapshot-format identity (the lockstep pool records ``None``)."""
+        return "numpy"
 
     # ------------------------------------------------------------------
     # Batched ingest
@@ -248,15 +165,6 @@ class BatchedSessionPool(SessionPool):
         if self._telemetry is not None:
             self._m_rounds.inc()
             self._m_occupancy.set(n_due)
-        if n_due <= self._small_fleet_cutoff and self._backend.bit_identical:
-            # Small-fleet escape hatch: delegate tiny rounds to the
-            # lockstep scalar round. It IS the batched round's
-            # bit-identity reference, so taking it changes nothing but
-            # latency. Tolerance backends (float32) must not take it —
-            # they would silently compute in float64. Off by default
-            # (see SMALL_FLEET_CUTOFF): the packed round measures
-            # faster at every occupancy on the tracked workload.
-            return self._scalar_round(session_ids, sessions, due_ks, out)
         alive = [True] * n_due
 
         def fail(d: int, exc: BaseException) -> None:
@@ -264,12 +172,22 @@ class BatchedSessionPool(SessionPool):
             alive[d] = False
 
         cfg = self._config
-        be = self._backend
         rate = self._rate
+
+        def lowpass(block: np.ndarray) -> np.ndarray:
+            # The round copies hop-sized slices straight out of the
+            # result, so skip the final contiguous copy of the block.
+            return butter_lowpass(
+                block,
+                cfg.lowpass_cutoff_hz,
+                rate,
+                cfg.lowpass_order,
+                contiguous=False,
+            )
 
         # -- Stage 1: fleet filter -------------------------------------
         # Gather every due session's pending filter blocks, low-pass
-        # equal-length blocks in one column-stacked backend call per
+        # equal-length blocks in one column-stacked filter call per
         # length group, then commit per session in plan order (the
         # order apply_filtered_block requires).
         plans: List[List[Tuple[int, int, int]]] = []
@@ -286,12 +204,7 @@ class BatchedSessionPool(SessionPool):
             if len(entries) == 1:
                 d, j, lo, hi = entries[0]
                 try:
-                    blocks[d][j] = be.lowpass_block(
-                        due_sess[d].raw_block(lo, hi),
-                        cfg.lowpass_cutoff_hz,
-                        rate,
-                        cfg.lowpass_order,
-                    )
+                    blocks[d][j] = lowpass(due_sess[d].raw_block(lo, hi))
                 except Exception as exc:  # noqa: BLE001
                     blocks[d][j] = exc
                 continue
@@ -304,18 +217,11 @@ class BatchedSessionPool(SessionPool):
                     due_sess[d].raw_block(lo, hi),
                 )
             try:
-                filtered = be.lowpass_block(
-                    stack, cfg.lowpass_cutoff_hz, rate, cfg.lowpass_order
-                )
+                filtered = lowpass(stack)
             except Exception:  # noqa: BLE001 — retry solo to find the owner
                 for d, j, lo, hi in entries:
                     try:
-                        blocks[d][j] = be.lowpass_block(
-                            due_sess[d].raw_block(lo, hi),
-                            cfg.lowpass_cutoff_hz,
-                            rate,
-                            cfg.lowpass_order,
-                        )
+                        blocks[d][j] = lowpass(due_sess[d].raw_block(lo, hi))
                     except Exception as exc:  # noqa: BLE001
                         blocks[d][j] = exc
             else:
@@ -357,7 +263,6 @@ class BatchedSessionPool(SessionPool):
                 min_step_rate_hz=cfg.min_step_rate_hz,
                 max_step_rate_hz=cfg.max_step_rate_hz,
                 min_prominence=cfg.min_peak_prominence,
-                backend=be,
                 scratch=scratch,
             )
 
@@ -390,7 +295,7 @@ class BatchedSessionPool(SessionPool):
                 flat_h.append(h_seg)
         measurements = (
             batched_stage_measurements(
-                flat_v, flat_h, cfg, be, buffers=self._buffers
+                flat_v, flat_h, cfg, buffers=self._buffers
             )
             if flat_v
             else []
@@ -459,7 +364,7 @@ class BatchedSessionPool(SessionPool):
             all_items.extend(items)
         flat_solutions = (
             batched_cycle_solutions(
-                all_items, 1.0 / rate, backend=be, buffers=self._buffers
+                all_items, 1.0 / rate, buffers=self._buffers
             )
             if all_items
             else []
@@ -486,49 +391,6 @@ class BatchedSessionPool(SessionPool):
                 fail(d, exc)
                 continue
             k = due_ks[d]
-            out[k][0].extend(steps)
-            out[k][1].extend(strides)
-            next_active.append(k)
-        return next_active
-
-    # ------------------------------------------------------------------
-    # Small-fleet fast path
-    # ------------------------------------------------------------------
-    def _scalar_round(
-        self,
-        session_ids: Sequence[int],
-        sessions: Sequence,
-        due_ks: Sequence[int],
-        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
-    ) -> List[int]:
-        """One lockstep round over the due sessions, no fleet packing.
-
-        Exactly the round body of :meth:`SessionPool.append` — per-due
-        session ``collect()``, one pooled stepping batch, per-session
-        ``resolve()`` — with the same failure isolation. Bit-identical
-        to the packed round because it *is* the reference path the
-        packed round is differentially pinned against.
-        """
-        round_staged: List[Tuple[int, List[StagedCycle]]] = []
-        for k in due_ks:
-            try:
-                staged = sessions[k].collect()
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                self._mark_failed(session_ids[k], exc)
-                continue
-            if staged is None:
-                continue
-            round_staged.append((k, staged))
-        if not round_staged:
-            return []
-        values = self._pooled_stepping([staged for _, staged in round_staged])
-        next_active: List[int] = []
-        for (k, staged), vals in zip(round_staged, values):
-            try:
-                steps, strides = sessions[k].resolve(staged, vals)
-            except Exception as exc:  # noqa: BLE001
-                self._mark_failed(session_ids[k], exc)
-                continue
             out[k][0].extend(steps)
             out[k][1].extend(strides)
             next_active.append(k)

@@ -363,13 +363,12 @@ class SessionPool:
     # Durability: snapshot / restore / migration
     # ------------------------------------------------------------------
     def _backend_identity(self) -> Optional[str]:
-        """The compute-backend identity echoed into pool snapshots.
+        """The pool-type identity echoed into pool snapshots.
 
-        ``None`` for the lockstep pool (no backend seam); the batched
-        pool overrides this with its backend's name. Restore refuses a
-        mismatch: the float32 backend is only tolerance-bounded, so
-        resuming its state under a different backend could diverge from
-        the uninterrupted run.
+        ``None`` for the lockstep pool; the batched pool records
+        ``"numpy"``. The field is named ``"backend"`` in the
+        ``ptrack-session-v1`` format; its value tells a batched
+        snapshot from a lockstep one. Restore refuses any mismatch.
         """
         return None
 
@@ -415,7 +414,7 @@ class SessionPool:
         pools hand out fresh ids exactly like the original would have.
         Raises :class:`ConfigurationError` before touching any state if
         the snapshot's schema or pipeline identity (rate, config,
-        horizons, fault policy, backend) does not match this pool — or,
+        horizons, fault policy, pool type) does not match this pool — or,
         when this pool has a profile store attached, if any snapshotted
         session's profile version no longer matches the store (a stale
         profile: another writer trained the user since the snapshot, so
@@ -487,7 +486,7 @@ class SessionPool:
             mismatches.append("FaultPolicy differs")
         if snapshot["backend"] != self._backend_identity():
             mismatches.append(
-                f"compute backend {snapshot['backend']!r} != "
+                f"backend {snapshot['backend']!r} != "
                 f"{self._backend_identity()!r}"
             )
         if (
@@ -517,7 +516,7 @@ class SessionPool:
         """Build a pool resuming exactly where ``snapshot`` left off
         (constructed with the snapshot's own pipeline identity, then
         :meth:`restore`). Extra keyword arguments pass through to the
-        subclass constructor (e.g. ``small_fleet_cutoff``)."""
+        constructor (e.g. ``profile_store``)."""
         ensure_snapshot_kind(snapshot, "pool")
         pool = cls(
             sample_rate_hz=snapshot["sample_rate_hz"],

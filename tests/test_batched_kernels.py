@@ -1,6 +1,6 @@
-"""Tests for the PR-8 backend-wide kernels.
+"""Tests for the fleet-batched numeric kernels.
 
-Three layers:
+Two layers:
 
 * **solver differential** — :func:`repro.core.bounce.solve_bounce_block`
   against the scalar :func:`~repro.core.bounce.solve_bounce` on
@@ -9,19 +9,12 @@ Three layers:
   come back ``valid=False``, and a starved iteration budget must
   surface as ``valid=False`` (the callers' scalar-fallback contract)
   rather than a wrong root.
-* **backend parity** — ``extrema_block`` / ``integrate_block`` /
-  ``measurement_block`` / ``bounce_solve_block`` across the registry:
-  bit-identity on numpy (and numba when installed), documented
-  tolerances on float32.
-* **loop specifications** — the njit-compilable loop bodies
-  (:func:`repro.runtime.backends._extrema_fused_loop`,
-  :func:`repro.runtime.backends._bounce_rows_loop`) exercised
-  un-jitted against their scipy/scalar references, so the numba
-  backend's kernels are pinned even where the package is absent.
+* **row kernels** — the row-stacked integration
+  (:func:`repro.core.batched.integrate_block`) and the stride rows
+  against their per-cycle scalar references, bit for bit.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,20 +24,13 @@ from repro.core.bounce import (
     solve_bounce,
     solve_bounce_block,
 )
-from repro.core.config import PTrackConfig
+from repro.core.batched import integrate_block
 from repro.core.stride import stride_from_bounce_model, stride_rows_from_bounce
-from repro.runtime.backends import (
-    _bounce_rows_loop,
-    _extrema_fused_loop,
-    available_backends,
-    get_backend,
+from repro.signal.integration import (
+    double_integrate_mean_removal,
+    integrate_mean_removal,
 )
-from repro.signal.batched import pack_windows
 from repro.types import UserProfile
-
-NUMBA_AVAILABLE = available_backends()["numba"][0]
-
-PARITY_BACKENDS = ["numpy", "float32"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 
 def _walky(n, seed, freq=1.8, noise=0.25):
@@ -163,8 +149,14 @@ def test_solve_bounce_block_geometry_rejects_match_scalar_raises():
     assert np.all(np.isnan(bounce[~valid]))
 
 
+def test_bounce_solve_block_matches_scalar():
+    h1, h2, d, m = _random_geometries(300, 11)
+    bounce, valid = solve_bounce_block(h1, h2, d, m)
+    _assert_block_matches_scalar(h1, h2, d, m, bounce, valid)
+
+
 # ----------------------------------------------------------------------
-# Stride rows
+# Row kernels
 # ----------------------------------------------------------------------
 
 
@@ -186,151 +178,12 @@ def test_stride_rows_bit_identical_to_scalar_model(seed):
         assert rows[r] == stride_from_bounce_model(float(bounce[r]), profile)
 
 
-# ----------------------------------------------------------------------
-# Backend parity
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", PARITY_BACKENDS)
-def test_extrema_block_parity(name):
-    be = get_backend(name)
-    ref = get_backend("numpy")
-    windows = [_walky(n, seed) for n, seed in ((120, 0), (40, 1), (7, 2))]
-    concat, _starts, _lens = pack_windows(windows)
-    cand, proms = be.extrema_block(concat)
-    ref_cand, ref_proms = ref.extrema_block(concat)
-    assert np.all(np.isfinite(concat[cand]))  # separators dropped
-    if be.bit_identical:
-        np.testing.assert_array_equal(cand, ref_cand)
-        np.testing.assert_array_equal(proms, ref_proms)
-    else:
-        # float32: tie-breaking may move candidates; prominences of the
-        # shared candidates stay within the documented tolerance.
-        shared = np.intersect1d(cand, ref_cand)
-        assert shared.size >= min(cand.size, ref_cand.size) * 0.8
-        sel = {c: p for c, p in zip(cand, proms)}
-        ref_sel = {c: p for c, p in zip(ref_cand, ref_proms)}
-        for c in shared:
-            np.testing.assert_allclose(
-                sel[c], ref_sel[c], rtol=1e-3, atol=1e-3
-            )
-
-
-@pytest.mark.parametrize("name", PARITY_BACKENDS)
-def test_integrate_block_parity(name):
-    from repro.signal.integration import (
-        double_integrate_mean_removal,
-        integrate_mean_removal,
-    )
-
-    be = get_backend(name)
+def test_integrate_block_matches_scalar():
     rows = np.stack([_walky(80, s) for s in range(6)])
     dt = 0.01
-    vel, disp = be.integrate_block(rows, dt)
+    vel, disp = integrate_block(rows, dt)
     for r in range(rows.shape[0]):
-        ref_v = integrate_mean_removal(rows[r], dt)
-        ref_d = double_integrate_mean_removal(rows[r], dt)
-        if be.bit_identical:
-            np.testing.assert_array_equal(vel[r], ref_v)
-            np.testing.assert_array_equal(disp[r], ref_d)
-        else:
-            np.testing.assert_allclose(vel[r], ref_v, rtol=1e-3, atol=1e-4)
-            np.testing.assert_allclose(disp[r], ref_d, rtol=1e-3, atol=1e-4)
-
-
-@pytest.mark.parametrize("name", PARITY_BACKENDS)
-def test_measurement_block_parity(name):
-    be = get_backend(name)
-    ref = get_backend("numpy")
-    cfg = PTrackConfig()
-    specs = ((60, 0), (60, 1), (33, 2), (90, 3))
-    v_segs = [_walky(n, seed) for n, seed in specs]
-    h_segs = [
-        np.column_stack([_walky(n, seed + 10), _walky(n, seed + 20, freq=0.9)])
-        for n, seed in specs
-    ]
-    got = be.measurement_block(v_segs, h_segs, cfg)
-    want = ref.measurement_block(v_segs, h_segs, cfg)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        g_a, g_ant, g_mot, g_off = g
-        w_a, w_ant, w_mot, w_off = w
-        if be.bit_identical:
-            np.testing.assert_array_equal(g_a, w_a)
-            assert (g_ant, g_mot) == (w_ant, w_mot)
-            assert g_off == w_off  # bitwise
-        else:
-            np.testing.assert_allclose(g_a, w_a, rtol=1e-2, atol=1e-4)
-            if g_mot and w_mot:
-                np.testing.assert_allclose(
-                    g_off, w_off, rtol=1e-2, atol=1e-4
-                )
-
-
-@pytest.mark.parametrize("name", PARITY_BACKENDS)
-def test_bounce_solve_block_parity(name):
-    be = get_backend(name)
-    h1, h2, d, m = _random_geometries(300, 11)
-    bounce, valid = be.bounce_solve_block(h1, h2, d, m)
-    ref_b, ref_v = get_backend("numpy").bounce_solve_block(h1, h2, d, m)
-    if be.bit_identical:
-        np.testing.assert_array_equal(valid, ref_v)
-        np.testing.assert_array_equal(bounce[valid], ref_b[ref_v])
-        _assert_block_matches_scalar(h1, h2, d, m, bounce, valid)
-    else:
-        both = valid & ref_v
-        assert both.sum() >= 0.9 * ref_v.sum()
-        np.testing.assert_allclose(
-            bounce[both], ref_b[both], rtol=1e-3, atol=1e-4
+        np.testing.assert_array_equal(vel[r], integrate_mean_removal(rows[r], dt))
+        np.testing.assert_array_equal(
+            disp[r], double_integrate_mean_removal(rows[r], dt)
         )
-
-
-# ----------------------------------------------------------------------
-# Loop specifications (un-jitted)
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(3, 300))
-def test_extrema_fused_loop_matches_default_block(seed, n):
-    x = _walky(n, seed)
-    be = get_backend("numpy")
-    cand, proms = _extrema_fused_loop(x)
-    ref_cand, ref_proms = be.extrema_block(x)
-    np.testing.assert_array_equal(cand, ref_cand)
-    np.testing.assert_array_equal(proms, ref_proms)
-
-
-def test_extrema_fused_loop_skips_separators():
-    windows = [_walky(50, 0), _walky(30, 1)]
-    concat, _starts, _lens = pack_windows(windows)
-    cand, proms = _extrema_fused_loop(concat)
-    ref_cand, ref_proms = get_backend("numpy").extrema_block(concat)
-    np.testing.assert_array_equal(cand, ref_cand)
-    np.testing.assert_array_equal(proms, ref_proms)
-    assert np.all(np.isfinite(concat[cand]))
-
-
-def test_extrema_fused_loop_plateaus_and_edges():
-    x = np.asarray([0.0, 2.0, 2.0, 2.0, 0.0, 1.0, 0.5, 3.0])
-    cand, proms = _extrema_fused_loop(x)
-    ref_cand, ref_proms = get_backend("numpy").extrema_block(x)
-    np.testing.assert_array_equal(cand, ref_cand)
-    np.testing.assert_array_equal(proms, ref_proms)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_bounce_rows_loop_matches_scalar(seed):
-    from repro.core.bounce import _BRENT_MAXITER, _BRENT_RTOL, _BRENT_XTOL
-
-    n = 120
-    h1, h2, d, m = _random_geometries(n, seed)
-    bounce = np.empty(n)
-    valid = np.empty(n, dtype=np.bool_)
-    _bounce_rows_loop(
-        h1, h2, d, m, 0.30,
-        _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER,
-        bounce, valid,
-    )
-    _assert_block_matches_scalar(h1, h2, d, m, bounce, valid)

@@ -25,7 +25,6 @@ from repro.core.offset import cycle_offset
 from repro.core.streaming import StreamingPTrack
 from repro.core.stride import PTrackStrideEstimator
 from repro.exceptions import SignalError
-from repro.runtime.backends import get_backend
 from repro.serving import (
     BatchedSessionPool,
     FleetBatchBuffer,
@@ -240,10 +239,6 @@ def _serve_serially(workloads, batch):
 
 
 def _serve_batched(workloads, batch, pool_cls=BatchedSessionPool, **kw):
-    if pool_cls is BatchedSessionPool:
-        # Test fleets are small; force the packed path unless a test
-        # opts into the small-fleet scalar fast path explicitly.
-        kw.setdefault("small_fleet_cutoff", 0)
     pool = pool_cls(RATE, **kw)
     sids = pool.add_sessions([w.profile for w in workloads])
     results = [([], []) for _ in sids]
@@ -304,7 +299,7 @@ def test_batched_pool_ragged_session_lengths():
 def test_batched_pool_session_joins_mid_round():
     workloads = synthesize_workload(3, 14.0, seed=23)
     late = workloads[2]
-    pool = BatchedSessionPool(RATE, small_fleet_cutoff=0)
+    pool = BatchedSessionPool(RATE)
     sids = pool.add_sessions([w.profile for w in workloads[:2]])
     acc = {sid: ([], []) for sid in sids}
     batch = 128
@@ -352,7 +347,7 @@ def test_batched_pool_session_joins_mid_round():
 
 def test_batched_pool_failed_session_excluded_from_pack():
     workloads = synthesize_workload(4, 12.0, seed=24)
-    pool = BatchedSessionPool(RATE, small_fleet_cutoff=0)
+    pool = BatchedSessionPool(RATE)
     sids = pool.add_sessions([w.profile for w in workloads])
     batch = 128
     # Poison session 1 on the second append with a wrong-dtype batch.
@@ -395,48 +390,6 @@ def test_batched_pool_chunk_invariant_credits():
         assert [(e.time, e.length_m) for e in r1] == [
             (e.time, e.length_m) for e in r2
         ]
-
-
-def test_batched_pool_small_fleet_fast_path_bit_identical():
-    # With the cutoff raised above the fleet size every round takes the
-    # scalar lockstep fast path; credits must stay bit-identical to
-    # serial and to the packed path.
-    workloads = synthesize_workload(4, 14.0, seed=28)
-    serial = _serve_serially(workloads, batch=128)
-    fast, _ = _serve_batched(workloads, batch=128, small_fleet_cutoff=16)
-    packed, _ = _serve_batched(workloads, batch=128, small_fleet_cutoff=0)
-    _assert_credits_identical(fast, serial)
-    _assert_credits_identical(packed, serial)
-
-
-def test_batched_pool_fast_path_skipped_on_tolerance_backend():
-    # float32 is not bit-identical, so the fast path (which computes in
-    # float64) must never trigger: a huge cutoff and a zero cutoff must
-    # produce identical float32 credits.
-    workloads = synthesize_workload(3, 12.0, seed=29)
-    a, _ = _serve_batched(
-        workloads, batch=128, backend="float32", small_fleet_cutoff=10**9
-    )
-    b, _ = _serve_batched(
-        workloads, batch=128, backend="float32", small_fleet_cutoff=0
-    )
-    _assert_credits_identical(a, b)
-
-
-def test_batched_pool_float32_backend_close_totals():
-    workloads = synthesize_workload(5, 15.0, seed=26)
-    ref, _ = _serve_batched(workloads, batch=128)
-    f32, pool = _serve_batched(workloads, batch=128, backend="float32")
-    assert pool.backend.name == "float32"
-    tot_ref = sum(len(s) for s, _, _ in ref)
-    tot_f32 = sum(len(s) for s, _, _ in f32)
-    assert abs(tot_f32 - tot_ref) <= max(2, round(0.02 * tot_ref))
-
-
-def test_batched_pool_backend_instance_passthrough():
-    be = get_backend("numpy")
-    pool = BatchedSessionPool(RATE, backend=be)
-    assert pool.backend is be
 
 
 def test_batched_pool_telemetry_instruments():

@@ -323,15 +323,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="FaultPolicy"):
             sess.restore(blob)
 
-    def test_pool_rejects_backend_mismatch(self):
-        pool = BatchedSessionPool(RATE, backend="numpy")
+    @pytest.mark.parametrize("backend", ["float32", "numba", "gpu"])
+    def test_pool_rejects_backend_mismatch(self, backend):
+        pool = BatchedSessionPool(RATE)
         pool.add_sessions(_PROFILES)
         blob = pool.snapshot()
         assert blob["backend"] == "numpy"
         tampered = dict(blob)
-        tampered["backend"] = "float32"
-        with pytest.raises(ConfigurationError, match="backend"):
-            BatchedSessionPool(RATE, backend="numpy").restore(tampered)
+        tampered["backend"] = backend
+        with pytest.raises(ConfigurationError, match=backend):
+            BatchedSessionPool(RATE).restore(tampered)
 
     def test_pool_error_lists_every_mismatch(self):
         pool = SessionPool(RATE)
