@@ -695,17 +695,9 @@ class StreamingPTrack:
 
     def flush(self) -> Tuple[List[StepEvent], List[StrideEstimate]]:
         """Settle everything remaining in the buffer (end of stream)."""
-        if self._pending_invalid:
-            # A trailing defect has no right-hand good sample to
-            # repair against; it can only be quarantined.
-            self._stats.samples_rejected += self._pending_invalid
-            self._pending_invalid = 0
-        self._in_gap = False
         steps, strides = self.take_pending_credits()
-        head = self._buf_start + self._size
-        if head == 0:
-            if self._telemetry is not None:
-                self._publish_ops()
+        head = self.open_flush()
+        if head is None:
             return steps, strides
         while True:
             staged = self.collect()
@@ -716,18 +708,13 @@ class StreamingPTrack:
             strides.extend(sr)
         # Finalise the filter through the head and classify the tail
         # with a zero settle horizon.
-        self._finalize_filter_to(head)
+        self._advance_filter(head, finalize=True)
         staged = self._pass(head, settle_margin=0)
-        self._next_boundary = head + self._hop
-        self._trim_boundary = head
+        self.finish_collect(head)
         st, sr = self.resolve(staged, self.stepping_values(staged))
         steps.extend(st)
         strides.extend(sr)
-        # Trailing pending cycles can never confirm: interference.
-        for res in self._machine.flush():
-            self._seg_store.pop(res.candidate.cycle_id, None)
-        if self._telemetry is not None:
-            self._publish_ops()
+        self.close_flush()
         return steps, strides
 
     # ------------------------------------------------------------------
@@ -896,7 +883,7 @@ class StreamingPTrack:
     # numeric kernel across a whole fleet between the per-session state
     # transitions. Every op-stat bump lives inside the phase that does
     # the work, so the counters stay driver-invariant; and the solo
-    # paths (_advance_filter/_pass/resolve) are themselves built from
+    # paths (_advance_filter/_pass/resolve/flush) are themselves built from
     # these seams, so there is exactly one implementation of each phase.
     # ------------------------------------------------------------------
     def peek_boundary(self) -> Optional[int]:
@@ -914,22 +901,69 @@ class StreamingPTrack:
         self._next_boundary = boundary + self._hop
         self._trim_boundary = boundary
 
-    def filter_plan(self, limit_abs: int) -> List[Tuple[int, int, int]]:
+    def open_flush(self) -> Optional[int]:
+        """Start settling the stream's end; return its head.
+
+        The opening half of :meth:`flush`: a trailing defect is
+        quarantined and any gap is left. Returns the absolute head
+        index the final zero-settle pass runs at, or ``None`` for a
+        stream that never buffered a sample (nothing left to settle;
+        op-stats are published here). Between this and
+        :meth:`close_flush` the caller drains every due boundary, then
+        runs one pass at the head with ``settle_margin=0`` and a
+        finalising filter plan.
+        """
+        if self._pending_invalid:
+            # A trailing defect has no right-hand good sample to
+            # repair against; it can only be quarantined.
+            self._stats.samples_rejected += self._pending_invalid
+            self._pending_invalid = 0
+        self._in_gap = False
+        head = self._buf_start + self._size
+        if head == 0:
+            if self._telemetry is not None:
+                self._publish_ops()
+            return None
+        return head
+
+    def close_flush(self) -> None:
+        """Finish :meth:`flush` after the final pass has been credited:
+        trailing pending cycles can never confirm, so they retire as
+        interference."""
+        for res in self._machine.flush():
+            self._seg_store.pop(res.candidate.cycle_id, None)
+        if self._telemetry is not None:
+            self._publish_ops()
+
+    def filter_plan(
+        self, limit_abs: int, finalize: bool = False
+    ) -> List[Tuple[int, int, int, int]]:
         """Pending filter blocks up to ``limit_abs``; no state changes.
 
-        Each entry ``(lo, hi, final)`` is one hop-sized finalisation:
-        filter raw rows ``[lo, hi)`` and keep the output rows starting
-        at absolute index ``final`` (exactly what
-        :meth:`apply_filtered_block` consumes). A batched pool collects
-        the plans of every due session, stacks equal-length raw blocks
-        column-wise and runs one filter call per length group.
+        Each entry ``(lo, hi, final, stop)`` is one finalisation: filter
+        raw rows ``[lo, hi)`` and keep the output rows ``[final, stop)``
+        (exactly what :meth:`apply_filtered_block` consumes). A batched
+        pool collects the plans of every due session, stacks
+        equal-length raw blocks column-wise and runs one filter call
+        per length group.
+
+        Normally every block is hop-sized with ``pad`` samples of right
+        context. With ``finalize`` (the flush path, where no right
+        context will ever arrive) the plan is instead one block ending
+        at ``limit_abs`` that finalises everything up to it.
         """
-        plan: List[Tuple[int, int, int]] = []
         final = self._filt_final
+        if finalize:
+            if limit_abs <= final:
+                return []
+            lo = max(self._buf_start, final - self._pad)
+            return [(lo, limit_abs, final, limit_abs)]
+        plan: List[Tuple[int, int, int, int]] = []
         while final + self._hop + self._pad <= limit_abs:
             lo = max(self._buf_start, final - self._pad)
-            plan.append((lo, final + self._hop + self._pad, final))
-            final += self._hop
+            stop = final + self._hop
+            plan.append((lo, stop + self._pad, final, stop))
+            final = stop
         return plan
 
     def raw_block(self, lo: int, hi: int) -> np.ndarray:
@@ -937,19 +971,17 @@ class StreamingPTrack:
         return self._data[lo - self._buf_start : hi - self._buf_start]
 
     def apply_filtered_block(
-        self, lo: int, hi: int, final: int, block: np.ndarray
+        self, lo: int, hi: int, final: int, stop: int, block: np.ndarray
     ) -> None:
         """Commit one filtered block from a :meth:`filter_plan` entry.
 
-        ``block`` is the filtered ``raw_block(lo, hi)``; the hop-sized
-        slice starting at ``final`` becomes final filtered output.
+        ``block`` is the filtered ``raw_block(lo, hi)``; its rows for
+        absolute indices ``[final, stop)`` become final filtered output.
         Blocks must be applied in plan order.
         """
-        out_lo = final - lo
-        self._filt[
-            final - self._buf_start : final + self._hop - self._buf_start
-        ] = block[out_lo : out_lo + self._hop]
-        self._filt_final = final + self._hop
+        base = self._buf_start
+        self._filt[final - base : stop - base] = block[final - lo : stop - lo]
+        self._filt_final = stop
         self._stats.samples_filtered += hi - lo
 
     def begin_pass(
@@ -1448,40 +1480,24 @@ class StreamingPTrack:
             _set(est, "gait_type", gait)
             strides.append(est)
 
-    def _advance_filter(self, limit_abs: int) -> None:
-        """Finalise hop-sized filter blocks up to ``limit_abs``.
+    def _advance_filter(self, limit_abs: int, finalize: bool = False) -> None:
+        """Finalise filter blocks up to ``limit_abs``.
 
-        Each block is filtered with exactly ``pad`` samples of context
-        on both sides (where the stream provides them), so a block's
-        final values depend only on its absolute position — never on
-        append chunking — and every sample is filtered a bounded
-        number of times.
+        Each hop-sized block is filtered with exactly ``pad`` samples of
+        context on both sides (where the stream provides them), so a
+        block's final values depend only on its absolute position —
+        never on append chunking — and every sample is filtered a
+        bounded number of times. ``finalize`` is the flush path (see
+        :meth:`filter_plan`).
         """
-        for lo, hi, final in self.filter_plan(limit_abs):
+        for lo, hi, final, stop in self.filter_plan(limit_abs, finalize):
             block = butter_lowpass(
                 self.raw_block(lo, hi),
                 self._config.lowpass_cutoff_hz,
                 self._rate,
                 self._config.lowpass_order,
             )
-            self.apply_filtered_block(lo, hi, final, block)
-
-    def _finalize_filter_to(self, head: int) -> None:
-        """Flush-path filter finalisation (no right context remains)."""
-        if head <= self._filt_final:
-            return
-        lo = max(self._buf_start, self._filt_final - self._pad)
-        block = butter_lowpass(
-            self._data[lo - self._buf_start : head - self._buf_start],
-            self._config.lowpass_cutoff_hz,
-            self._rate,
-            self._config.lowpass_order,
-        )
-        self._filt[
-            self._filt_final - self._buf_start : head - self._buf_start
-        ] = block[self._filt_final - lo :]
-        self._stats.samples_filtered += head - lo
-        self._filt_final = head
+            self.apply_filtered_block(lo, hi, final, stop, block)
 
     def _pass(self, boundary: int, settle_margin: int) -> List[StagedCycle]:
         """One processing pass at an absolute hop boundary.

@@ -19,6 +19,10 @@ runs **once for the whole fleet**:
 5. all credited cycles' stride integrations run in length-grouped
    stacks (:func:`repro.core.batched.batched_cycle_solutions`).
 
+The end-of-stream flush takes the same rounds: the boundaries still due
+drain through them, and each session's final zero-settle pass at its
+head runs as one more round with a finalising filter plan.
+
 Per-session *state* transitions (boundary bookkeeping, cycle admission,
 streak classification, crediting, trimming) still run session by
 session through the seams :class:`~repro.core.streaming.StreamingPTrack`
@@ -56,6 +60,10 @@ from repro.types import StepEvent, StrideEstimate
 # importing the serving layer. Re-exported for compatibility.
 __all__ = ["FleetBatchBuffer", "BatchedSessionPool"]
 
+#: Bucket bounds of the ``serving_batch_occupancy`` histogram (sessions
+#: due per fleet round).
+OCCUPANCY_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
 
 class BatchedSessionPool(SessionPool):
     """A session pool whose ingest rounds run fleet-batched kernels.
@@ -64,12 +72,15 @@ class BatchedSessionPool(SessionPool):
     same ``append``/``flush``/failure-isolation contract, and
     bit-identical per-session credits and op-stats. What changes is
     *how* each round computes: one kernel dispatch per stage per round
-    instead of per session. Every round takes the packed path, even
-    with one due session: the ``small_fleet`` rows of
-    ``BENCH_PR8.json`` measured it beating the per-session round at
-    every occupancy from 1 to 10.
+    instead of per session, for ingest and flush alike. Every round
+    takes the packed path, even with one due session: the
+    ``small_fleet`` rows of ``BENCH_PR8.json`` measured it beating the
+    per-session round at every occupancy from 1 to 10. This is the
+    engine :func:`~repro.serving.fleet.serve_fleet` shards run and the
+    default pool of :class:`~repro.serving.gateway.IngestGateway`.
     """
 
+    SNAPSHOT_BACKEND = "numpy"
     ROUND_SECONDS_METRIC = "serving_batch_round_seconds"
     APPENDS_METRIC = "serving_batch_appends_total"
     SESSIONS_GAUGE_METRIC = "serving_batch_sessions"
@@ -78,14 +89,13 @@ class BatchedSessionPool(SessionPool):
         super().__init__(*args, **kwargs)
         self._buffers = FleetBatchBuffer()
         if self._telemetry is not None:
-            reg = self._telemetry
-            self._m_rounds = reg.counter("serving_batch_rounds_total")
-            self._m_occupancy = reg.gauge("serving_batch_occupancy")
-
-    def _backend_identity(self) -> Optional[str]:
-        """Pool snapshots record ``"numpy"``: the batched pool's
-        snapshot-format identity (the lockstep pool records ``None``)."""
-        return "numpy"
+            # One observation per fleet round, valued at its due-session
+            # count. A histogram rather than a rounds counter: how many
+            # rounds run depends on how the fleet is sharded into pools,
+            # and fleet counter totals must not.
+            self._m_occupancy = self._telemetry.histogram(
+                "serving_batch_occupancy", OCCUPANCY_BUCKETS
+            )
 
     # ------------------------------------------------------------------
     # Batched ingest
@@ -121,50 +131,111 @@ class BatchedSessionPool(SessionPool):
             out[k][0].extend(steps)
             out[k][1].extend(strides)
             active.append(k)
-        while active:
-            active = self._batched_round(session_ids, sessions, active, out)
+        self._drain(session_ids, sessions, active, out)
         if self._telemetry is not None:
             self._m_appends.inc(len(session_ids))
             self._m_round_s.observe(time.perf_counter() - t0)
         return out
 
+    def flush(
+        self, session_ids: Optional[Sequence[int]] = None
+    ) -> List[Tuple[List[StepEvent], List[StrideEstimate]]]:
+        """Settle the remaining tail of the named (default all) sessions.
+
+        Same contract and credits as :meth:`SessionPool.flush` (each
+        session's :meth:`StreamingPTrack.flush`), computed fleet-wide:
+        the boundaries still due drain through the batched rounds, then
+        every session's final zero-settle pass at its head runs as one
+        more batched round with a finalising filter plan. Failed
+        sessions — including any that fail during the flush — yield
+        empty credits instead of raising.
+
+        Raises:
+            ConfigurationError: On unknown or duplicate ids, before any
+                session is touched.
+        """
+        ids = self.session_ids if session_ids is None else list(session_ids)
+        self._validate_ids(ids)
+        sessions = [self._sessions[sid] for sid in ids]
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]] = [
+            ([], []) for _ in sessions
+        ]
+        heads: List[Tuple[int, int]] = []
+        for k, (sid, sess) in enumerate(zip(ids, sessions)):
+            if sid in self._errors:
+                continue
+            steps, strides = sess.take_pending_credits()
+            out[k][0].extend(steps)
+            out[k][1].extend(strides)
+            head = sess.open_flush()
+            if head is not None:
+                heads.append((k, head))
+        self._drain(ids, sessions, [k for k, _ in heads], out)
+        tails = [
+            (k, head, 0, True)
+            for k, head in heads
+            if ids[k] not in self._errors
+        ]
+        if tails:
+            for k in self._batched_round(ids, sessions, tails, out):
+                sessions[k].close_flush()
+        for k, sid in enumerate(ids):
+            if sid in self._errors:
+                out[k] = ([], [])
+        return out
+
     # ------------------------------------------------------------------
-    # One fleet round
+    # Fleet rounds
     # ------------------------------------------------------------------
-    def _batched_round(
+    def _drain(
         self,
         session_ids: Sequence[int],
         sessions: Sequence,
         active: List[int],
         out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
-    ) -> List[int]:
-        """Advance every due session by one hop boundary, batched.
+    ) -> None:
+        """Run every due hop boundary of the ``active`` positions in
+        fleet rounds, each advancing every due session by one boundary
+        under its normal settle horizon."""
+        while active:
+            due: List[Tuple[int, int, Optional[int], bool]] = []
+            for k in active:
+                boundary = sessions[k].peek_boundary()
+                if boundary is not None:
+                    due.append((k, boundary, None, False))
+            if not due:
+                return
+            active = self._batched_round(session_ids, sessions, due, out)
 
-        Returns the positions still active for the next round. A
-        session that raises (or whose batched kernel surfaces its
-        exception in place) is marked failed and dropped mid-round —
-        the per-session state it mutated up to that point matches what
-        the scalar path would have mutated before raising.
+    def _batched_round(
+        self,
+        session_ids: Sequence[int],
+        sessions: Sequence,
+        due: Sequence[Tuple[int, int, Optional[int], bool]],
+        out: List[Tuple[List[StepEvent], List[StrideEstimate]]],
+    ) -> List[int]:
+        """Run one pass for every due session, batched.
+
+        Each ``due`` entry is ``(k, boundary, settle_margin, finalize)``:
+        the session's position in ``sessions``, the absolute boundary
+        its pass runs at, the settle horizon in samples (``None`` = the
+        session's own) and whether the filter plan finalises through
+        the boundary (the flush tail). Returns the positions whose pass
+        completed. A session that raises (or whose batched kernel
+        surfaces its exception in place) is marked failed and dropped
+        mid-round — the per-session state it mutated up to that point
+        matches what the scalar path would have mutated before raising.
         """
         # Bookkeeping is kept in lists indexed by the session's position
         # in the due order (``d``) rather than dicts keyed by pool
         # position — at fleet scale the per-session dict churn is
         # measurable against the batched kernels.
-        due_ks: List[int] = []
-        due_sess: List = []
-        boundaries: List[int] = []
-        for k in active:
-            boundary = sessions[k].peek_boundary()
-            if boundary is not None:
-                due_ks.append(k)
-                due_sess.append(sessions[k])
-                boundaries.append(boundary)
-        n_due = len(due_ks)
-        if not n_due:
-            return []
+        n_due = len(due)
+        due_ks = [entry[0] for entry in due]
+        due_sess = [sessions[k] for k in due_ks]
+        boundaries = [entry[1] for entry in due]
         if self._telemetry is not None:
-            self._m_rounds.inc()
-            self._m_occupancy.set(n_due)
+            self._m_occupancy.observe(n_due)
         alive = [True] * n_due
 
         def fail(d: int, exc: BaseException) -> None:
@@ -190,12 +261,12 @@ class BatchedSessionPool(SessionPool):
         # equal-length blocks in one column-stacked filter call per
         # length group, then commit per session in plan order (the
         # order apply_filtered_block requires).
-        plans: List[List[Tuple[int, int, int]]] = []
+        plans: List[List[Tuple[int, int, int, int]]] = []
         groups: Dict[int, List[Tuple[int, int, int, int]]] = {}
         for d in range(n_due):
-            plan = due_sess[d].filter_plan(boundaries[d])
+            plan = due_sess[d].filter_plan(boundaries[d], due[d][3])
             plans.append(plan)
-            for j, (lo, hi, _final) in enumerate(plan):
+            for j, (lo, hi, _final, _stop) in enumerate(plan):
                 groups.setdefault(hi - lo, []).append((d, j, lo, hi))
         blocks: List[List[Union[np.ndarray, Exception, None]]] = [
             [None] * len(plan) for plan in plans
@@ -229,12 +300,12 @@ class BatchedSessionPool(SessionPool):
                     blocks[d][j] = filtered[:, 3 * col : 3 * col + 3]
         for d in range(n_due):
             sess = due_sess[d]
-            for j, (lo, hi, final) in enumerate(plans[d]):
+            for j, (lo, hi, final, stop) in enumerate(plans[d]):
                 block = blocks[d][j]
                 if isinstance(block, Exception):
                     fail(d, block)
                     break
-                sess.apply_filtered_block(lo, hi, final, block)
+                sess.apply_filtered_block(lo, hi, final, stop, block)
 
         # -- Stage 2: fleet segmentation -------------------------------
         opened: List[Optional[Tuple[np.ndarray, int]]] = [None] * n_due
@@ -244,7 +315,7 @@ class BatchedSessionPool(SessionPool):
             if not alive[d]:
                 continue
             try:
-                win = due_sess[d].begin_pass(boundaries[d])
+                win = due_sess[d].begin_pass(boundaries[d], due[d][2])
             except Exception as exc:  # noqa: BLE001
                 fail(d, exc)
                 continue

@@ -2,9 +2,10 @@
 
 :func:`serve_fleet` drives N finished traces through N streaming
 sessions at a fixed upload cadence. Sessions are partitioned into
-contiguous shards, each shard is served by its own
-:class:`~repro.serving.pool.SessionPool` inside a worker process, and
-the per-session results are reassembled in fleet order.
+contiguous shards, each shard is served by its own fleet-batched
+:class:`~repro.serving.batch.BatchedSessionPool` inside a worker
+process (appends and the end-of-stream flush alike), and the
+per-session results are reassembled in fleet order.
 
 Because every session's pipeline state is independent and the pooled
 stepping batch is composition-independent, the shard layout — one
@@ -69,7 +70,7 @@ from repro.serving.checkpoint import (
     make_checkpoint,
     split_checkpoint,
 )
-from repro.serving.pool import SessionPool
+from repro.serving.batch import BatchedSessionPool
 from repro.serving.rebalance import RebalancePolicy, ShardEpochStats
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import trace_span
@@ -249,7 +250,7 @@ def _serve_shard(
         collect_observations,
     ) = shard
     registry = MetricsRegistry() if telemetry else None
-    pool = SessionPool(
+    pool = BatchedSessionPool(
         sample_rate_hz,
         config=config,
         settle_s=settle_s,
@@ -441,7 +442,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     t0 = time.perf_counter()
     registry = MetricsRegistry() if telemetry else None
     if pool_blob is None:
-        pool = SessionPool(
+        pool = BatchedSessionPool(
             sample_rate_hz,
             config=config,
             settle_s=settle_s,
@@ -452,7 +453,9 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
         )
         sids = pool.add_sessions(profiles)
     else:
-        pool = SessionPool.from_snapshot(pool_blob, telemetry=registry)
+        pool = BatchedSessionPool.from_snapshot(
+            pool_blob, telemetry=registry
+        )
         sids = pool.session_ids
     steps: List[List[StepEvent]] = [[] for _ in sids]
     strides: List[List[StrideEstimate]] = [[] for _ in sids]
@@ -516,7 +519,7 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     snapshot = None
     if registry is not None:
         snapshot = registry.snapshot()
-        hist = snapshot["histograms"].get("serving_pool_round_seconds")
+        hist = snapshot["histograms"].get(pool.ROUND_SECONDS_METRIC)
         if hist is not None:
             round_sum = float(hist["sum"])
             round_count = int(hist["count"])

@@ -55,6 +55,7 @@ from repro.core.config import PTrackConfig
 from repro.exceptions import ConfigurationError
 from repro.faults.policy import FaultPolicy
 from repro.runtime.clock import Clock, SystemClock
+from repro.serving.batch import BatchedSessionPool
 from repro.serving.pool import SessionPool
 from repro.serving.workload import ArrivalSchedule
 from repro.telemetry.registry import MetricsRegistry, get_registry
@@ -343,8 +344,8 @@ class IngestGateway:
             :class:`~repro.serving.pool.SessionPool` or
             :class:`~repro.serving.batch.BatchedSessionPool` (the
             gateway adds every session itself; pass a freshly built
-            pool). ``None`` builds a lockstep ``SessionPool`` from the
-            remaining arguments.
+            pool). ``None`` builds a ``BatchedSessionPool`` — the
+            engine ``serve_fleet`` runs — from the remaining arguments.
         config, settle_s, max_buffer_s, fault_policy: Forwarded to the
             default pool when ``pool`` is ``None``.
         capacity_s: Default mailbox bound, in seconds of signal
@@ -379,7 +380,7 @@ class IngestGateway:
             telemetry if telemetry is not None else get_registry()
         )
         if pool is None:
-            pool = SessionPool(
+            pool = BatchedSessionPool(
                 sample_rate_hz,
                 config=config,
                 settle_s=settle_s,

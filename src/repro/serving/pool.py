@@ -102,6 +102,14 @@ class SessionPool:
             tap only adds per-cycle bookkeeping.
     """
 
+    #: The pool-type identity echoed into pool snapshots: ``None`` for
+    #: the lockstep pool; the batched pool records ``"numpy"``. The field
+    #: is named ``"backend"`` in the ``ptrack-session-v1`` format; its
+    #: value tells a batched snapshot from a lockstep one. Restore
+    #: refuses any mismatch, and :meth:`from_snapshot` builds the pool
+    #: type a snapshot records.
+    SNAPSHOT_BACKEND: Optional[str] = None
+
     #: Instrument names, overridable per driver so a subclass (e.g. the
     #: fleet-batched pool) publishes its own ``serving_*`` series while
     #: the failure/revival counters stay shared fleet-wide.
@@ -362,16 +370,6 @@ class SessionPool:
     # ------------------------------------------------------------------
     # Durability: snapshot / restore / migration
     # ------------------------------------------------------------------
-    def _backend_identity(self) -> Optional[str]:
-        """The pool-type identity echoed into pool snapshots.
-
-        ``None`` for the lockstep pool; the batched pool records
-        ``"numpy"``. The field is named ``"backend"`` in the
-        ``ptrack-session-v1`` format; its value tells a batched
-        snapshot from a lockstep one. Restore refuses any mismatch.
-        """
-        return None
-
     def snapshot(self) -> Dict[str, Any]:
         """Capture the whole pool — membership plus per-session state —
         as one versioned, picklable dict.
@@ -391,7 +389,7 @@ class SessionPool:
             "max_buffer_s": self._max_buffer_s,
             "fault_policy": self._fault_policy,
             "isolate_failures": self._isolate,
-            "backend": self._backend_identity(),
+            "backend": self.SNAPSHOT_BACKEND,
             "collect_observations": self._collect_observations,
             "next_id": self._next_id,
             "errors": dict(self._errors),
@@ -484,10 +482,10 @@ class SessionPool:
             )
         if snapshot["fault_policy"] != self._fault_policy:
             mismatches.append("FaultPolicy differs")
-        if snapshot["backend"] != self._backend_identity():
+        if snapshot["backend"] != self.SNAPSHOT_BACKEND:
             mismatches.append(
                 f"backend {snapshot['backend']!r} != "
-                f"{self._backend_identity()!r}"
+                f"{self.SNAPSHOT_BACKEND!r}"
             )
         if (
             bool(snapshot.get("collect_observations", False))
@@ -516,9 +514,24 @@ class SessionPool:
         """Build a pool resuming exactly where ``snapshot`` left off
         (constructed with the snapshot's own pipeline identity, then
         :meth:`restore`). Extra keyword arguments pass through to the
-        constructor (e.g. ``profile_store``)."""
+        constructor (e.g. ``profile_store``).
+
+        The pool type is part of that identity: the result is an
+        instance of ``cls`` or of the subclass whose
+        :attr:`SNAPSHOT_BACKEND` the snapshot records, so
+        ``SessionPool.from_snapshot`` resumes a batched pool's snapshot
+        as a :class:`~repro.serving.batch.BatchedSessionPool`.
+        """
         ensure_snapshot_kind(snapshot, "pool")
-        pool = cls(
+        pool_cls = next(
+            (
+                c
+                for c in (cls, *cls.__subclasses__())
+                if c.SNAPSHOT_BACKEND == snapshot["backend"]
+            ),
+            cls,
+        )
+        pool = pool_cls(
             sample_rate_hz=snapshot["sample_rate_hz"],
             config=snapshot["config"],
             settle_s=snapshot["settle_s"],
@@ -792,6 +805,10 @@ class SessionPool:
                 "batches; append() pairs them positionally — pass "
                 "exactly one batch per session id"
             )
+        self._validate_ids(session_ids)
+
+    def _validate_ids(self, session_ids: Sequence[int]) -> None:
+        """Reject unknown or repeated ids in one call."""
         unknown = [s for s in session_ids if s not in self._sessions]
         if unknown:
             raise ConfigurationError(
@@ -804,8 +821,8 @@ class SessionPool:
         )
         if duplicates:
             raise ConfigurationError(
-                f"duplicate session id(s) {duplicates!r} in one append "
-                "call; a session takes at most one batch per call — "
+                f"duplicate session id(s) {duplicates!r} in one call; a "
+                "session takes at most one batch (or flush) per call — "
                 "concatenate the batches upstream or split the call"
             )
 

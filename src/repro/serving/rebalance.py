@@ -8,9 +8,10 @@ this live — session state snapshots and migrates without credit loss —
 so between epochs the driver feeds each shard's observed behaviour to
 a :class:`RebalancePolicy` and applies the splits it plans.
 
-The signals are the ones PR 5's telemetry already produces: the
-``serving_pool_round_seconds`` histogram (surfaced per epoch as the
-shard's round-latency sum/count) plus the epoch wall-clock and the
+The signals are the ones the fleet's telemetry already produces: the
+shard pool's round-latency histogram (``serving_batch_round_seconds``,
+the pool's ``ROUND_SECONDS_METRIC``; surfaced per epoch as the shard's
+round-latency sum/count) plus the epoch wall-clock and the
 crash/restore history from the healing layer. The policy is pure
 (stats in, shard ids out) so it can be unit-tested without serving a
 single sample, and deliberately conservative by default: it only
@@ -38,7 +39,7 @@ class ShardEpochStats:
         n_sessions: Sessions the shard is serving.
         elapsed_s: Wall-clock the epoch took in the worker.
         round_seconds_sum: Sum of the shard pool's per-round latencies
-            (the ``serving_pool_round_seconds`` histogram's ``sum``
+            (the ``serving_batch_round_seconds`` histogram's ``sum``
             over the epoch; 0.0 when telemetry is off).
         round_seconds_count: Rounds observed by that histogram.
         crashes: Worker deaths this shard has suffered so far.

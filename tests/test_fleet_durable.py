@@ -221,6 +221,63 @@ class TestRebalance:
         )
 
 
+    def test_policy_sees_the_pool_round_latency_signal(self):
+        # The shard pools are batched pools; their round histogram must
+        # reach the policy, or it silently falls back to wall-clock.
+        seen = []
+
+        class Recording(RebalancePolicy):
+            def plan(self, stats):
+                seen.extend(stats)
+                return super().plan(stats)
+
+        serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+            telemetry=True,
+            rebalance=Recording(),
+        )
+        assert seen
+        assert all(s.round_seconds_count > 0 for s in seen)
+        assert all(s.round_seconds_sum > 0.0 for s in seen)
+
+
+class TestBatchedCheckpoints:
+    def test_checkpoints_record_the_batched_pool_and_resume(
+        self, classic_credits, tmp_path, monkeypatch
+    ):
+        saved = []
+        real_save = CheckpointStore.save
+
+        def recording_save(self, name, payload):
+            saved.append(payload)
+            return real_save(self, name, payload)
+
+        monkeypatch.setattr(CheckpointStore, "save", recording_save)
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            profiles=_PROFILES,
+            workers=1,
+            batch_samples=BATCH,
+            sessions_per_shard=3,
+            checkpoint_every_s=2.0,
+            checkpoint_dir=tmp_path,
+            shard_faults=[ShardCrash(prob=0.5, mode="raise")],
+            fault_seed=11,
+        )
+        assert saved
+        assert {payload["pool"]["backend"] for payload in saved} == {"numpy"}
+        assert report.checkpoint_restores > 0
+        assert report.status == "ok"
+        assert _credits(report) == classic_credits
+
+
 class TestCheckpointStore:
     @staticmethod
     def _payload(n_sessions=2):

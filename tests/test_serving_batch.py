@@ -7,7 +7,8 @@ Three layers:
   (hypothesis-driven where the input space is wide);
 * pool equivalence — :class:`BatchedSessionPool` against serial
   sessions and the lockstep pool: credits, op-stats, chunk invariance,
-  sessions joining/leaving mid-stream, failed-session exclusion;
+  sessions joining/leaving mid-stream, failed-session exclusion, and
+  the batched flush against each session's own flush;
 * scratch-buffer mechanics — :class:`FleetBatchBuffer` growth/reuse.
 """
 
@@ -24,10 +25,13 @@ from repro.core.config import PTrackConfig
 from repro.core.offset import cycle_offset
 from repro.core.streaming import StreamingPTrack
 from repro.core.stride import PTrackStrideEstimator
-from repro.exceptions import SignalError
+from repro.exceptions import ConfigurationError, SignalError
+from repro.faults import FaultPolicy
+from repro.runtime import derive_rng
 from repro.serving import (
     BatchedSessionPool,
     FleetBatchBuffer,
+    IngestGateway,
     SessionPool,
     synthesize_workload,
 )
@@ -41,6 +45,8 @@ from repro.signal.batched import (
 from repro.signal.peaks import detect_peaks, detect_valleys
 from repro.signal.projection import anterior_direction, project_horizontal
 from repro.signal.segmentation import segment_gait_cycles
+from repro.simulation import SessionBuilder, sample_users
+from repro.telemetry.registry import MetricsRegistry
 from repro.types import GaitType, UserProfile
 
 RATE = 100.0
@@ -404,10 +410,235 @@ def test_batched_pool_telemetry_instruments():
     pool.flush(sids)
     snap = reg.snapshot()
     assert snap["counters"]["serving_batch_appends_total"] > 0
-    assert snap["counters"]["serving_batch_rounds_total"] > 0
-    assert snap["gauges"]["serving_batch_occupancy"] >= 1
+    occupancy = snap["histograms"]["serving_batch_occupancy"]
+    assert occupancy["count"] > 0
+    assert occupancy["sum"] >= occupancy["count"]  # >= 1 due per round
     assert snap["gauges"]["serving_batch_sessions"] == 3
     assert snap["histograms"]["serving_batch_round_seconds"]["count"] > 0
+
+
+# ----------------------------------------------------------------------
+# Batched flush
+#
+# BatchedSessionPool.flush runs the flush tail through the batched
+# rounds; every case pins it to each session's own
+# StreamingPTrack.flush: credits, op-stats, drained self-training
+# observations and the published ptrack_* counters.
+# ----------------------------------------------------------------------
+
+
+def _flush_fixture(streams, profiles, batch=96, **kw):
+    """A batched pool and one solo reference session per stream, both
+    fed ``streams`` in ``batch``-sample appends (an empty stream never
+    receives a sample), with appended credits already checked equal."""
+    pool_reg, ref_reg = MetricsRegistry(), MetricsRegistry()
+    pool = BatchedSessionPool(
+        RATE, telemetry=pool_reg, collect_observations=True, **kw
+    )
+    sids = pool.add_sessions(profiles)
+    refs = [
+        StreamingPTrack(
+            RATE, profile=p, telemetry=ref_reg, collect_observations=True, **kw
+        )
+        for p in profiles
+    ]
+    longest = max(x.shape[0] for x in streams)
+    for off in range(0, longest, batch):
+        live = [k for k, x in enumerate(streams) if off < x.shape[0]]
+        out = pool.append(
+            [sids[k] for k in live],
+            [streams[k][off : off + batch] for k in live],
+        )
+        for k, got in zip(live, out):
+            assert got == refs[k].append(streams[k][off : off + batch])
+    return pool, sids, refs, pool_reg, ref_reg
+
+
+def _same_state(a, b):
+    """Deep equality of snapshot state, arrays compared bit for bit."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(
+            a, b, equal_nan=True
+        ) and a.shape == b.shape
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same_state(x, y) for x, y in zip(a, b))
+        )
+    return a == b
+
+
+def _assert_flushed_like(pool, sids, refs, got, flushed):
+    """``got`` (pool.flush of the ``flushed`` positions) equals each
+    reference's own flush, and every session's state matches after."""
+    want = [refs[k].flush() for k in flushed]
+    assert got == want
+    for sid, ref in zip(sids, refs):
+        assert pool.session(sid).op_stats == ref.op_stats
+        assert _same_state(
+            pool.session(sid).snapshot()["state"], ref.snapshot()["state"]
+        )
+    observations = pool.take_observations()
+    for sid, ref in zip(sids, refs):
+        assert observations.get(sid, []) == ref.take_pending_observations()
+
+
+def _assert_counters_equal(pool_reg, ref_reg):
+    got = dict(pool_reg.snapshot()["counters"])
+    want = dict(ref_reg.snapshot()["counters"])
+    ptrack = {k: v for k, v in want.items() if k.startswith("ptrack_")}
+    assert got.pop("ptrack_distance_m_total", 0.0) == pytest.approx(
+        ptrack.pop("ptrack_distance_m_total", 0.0), rel=1e-12
+    )
+    assert {k: v for k, v in got.items() if k.startswith("ptrack_")} == ptrack
+
+
+def test_batched_flush_bit_identical_to_streaming_flush():
+    # Ragged lengths put every session's head at a different phase of
+    # its hop, so the drained boundaries and finalising filter blocks
+    # differ per session; the last session never receives a sample.
+    # One session ends mid stepping streak, which only the end-of-flush
+    # retirement clears.
+    workloads = synthesize_workload(5, 14.0, seed=31)
+    streams = [
+        w.samples[: w.samples.shape[0] - 37 * k]
+        for k, w in enumerate(workloads)
+    ]
+    streams[-1] = streams[-1][:0]
+    profiles = [w.profile for w in workloads]
+    (stepper,) = sample_users(1, derive_rng(39), name_prefix="stepper")
+    builder = SessionBuilder(stepper, rng=derive_rng(39, 0))
+    builder.walk(4.0)
+    builder.step(5.0)
+    trace = builder.build().trace
+    streams[3] = np.ascontiguousarray(trace.linear_acceleration)
+    profiles[3] = stepper.profile
+    pool, sids, refs, pool_reg, ref_reg = _flush_fixture(streams, profiles)
+    got = pool.flush()
+    _assert_flushed_like(pool, sids, refs, got, range(len(sids)))
+    assert got[-1] == ([], [])
+    assert sum(len(steps) for steps, _ in got) > 0
+    _assert_counters_equal(pool_reg, ref_reg)
+
+
+def test_batched_flush_quarantines_trailing_defect():
+    workloads = synthesize_workload(3, 12.0, seed=32)
+    streams = [w.samples.copy() for w in workloads]
+    # A defect shorter than the repair bound at the very end has no
+    # right-hand sample to repair against: flush must reject it.
+    streams[1][-12:] = np.nan
+    policy = FaultPolicy()
+    pool, sids, refs, pool_reg, ref_reg = _flush_fixture(
+        streams, [w.profile for w in workloads], fault_policy=policy
+    )
+    got = pool.flush(sids)
+    _assert_flushed_like(pool, sids, refs, got, range(len(sids)))
+    assert pool.session(sids[1]).op_stats.samples_rejected == 12
+    _assert_counters_equal(pool_reg, ref_reg)
+
+
+def test_batched_flush_delivers_pending_gap_reset_credits():
+    workloads = synthesize_workload(2, 12.0, seed=33)
+    streams = [w.samples[:800] for w in workloads]
+    pool, sids, refs, pool_reg, ref_reg = _flush_fixture(
+        streams, [w.profile for w in workloads], fault_policy=FaultPolicy()
+    )
+    # An outage longer than the repair bound, ingested split-phase so
+    # the credits its gap reset settles stay parked until the flush.
+    for k, w in enumerate(workloads):
+        tail = w.samples[800:1400].copy()
+        tail[300:380] = np.nan
+        pool.session(sids[k]).ingest(tail)
+        refs[k].ingest(tail)
+    assert all(ref._pending_credits is not None for ref in refs)
+    got = pool.flush(sids)
+    _assert_flushed_like(pool, sids, refs, got, range(len(sids)))
+    assert all(steps for steps, _ in got)
+    _assert_counters_equal(pool_reg, ref_reg)
+
+
+def test_batched_flush_skips_sessions_failed_mid_stream():
+    workloads = synthesize_workload(3, 12.0, seed=34)
+    profiles = [w.profile for w in workloads]
+    streams = [w.samples[:700] for w in workloads]
+    pool, sids, refs, _, _ = _flush_fixture(streams, profiles)
+    bad = workloads[1].samples[700:800].astype(np.float32)
+    pool.append([sids[1]], [bad])
+    assert sids[1] in pool.failed_sessions
+    got = pool.flush(sids)
+    assert got[1] == ([], [])
+    assert got[0] == refs[0].flush()
+    assert got[2] == refs[2].flush()
+
+
+def test_batched_flush_isolates_a_failure_inside_the_flush():
+    workloads = synthesize_workload(3, 12.0, seed=35)
+    streams = [w.samples for w in workloads]
+    profiles = [w.profile for w in workloads]
+    results = {}
+    for pool_cls in (SessionPool, BatchedSessionPool):
+        pool = pool_cls(RATE)
+        sids = pool.add_sessions(profiles)
+        for off in range(0, streams[0].shape[0], 100):
+            pool.append(sids, [x[off : off + 100] for x in streams])
+        poisoned = pool.session(sids[0])
+
+        def boom(*_args, **_kwargs):
+            raise RuntimeError("poisoned segment")
+
+        # Whichever pass of the flush segments first fails the session.
+        poisoned.admit_cycles = boom
+        results[pool_cls] = (pool.flush(sids), pool.failed_sessions)
+    lockstep, batched = results[SessionPool], results[BatchedSessionPool]
+    assert batched == lockstep
+    assert batched[0][0] == ([], [])
+    assert set(batched[1]) == {0}
+
+
+def test_batched_flush_of_a_subset_leaves_the_rest_streaming():
+    workloads = synthesize_workload(4, 14.0, seed=36)
+    streams = [w.samples[:900] for w in workloads]
+    pool, sids, refs, _, _ = _flush_fixture(
+        streams, [w.profile for w in workloads]
+    )
+    subset = [2, 0]
+    got = pool.flush([sids[k] for k in subset])
+    _assert_flushed_like(pool, sids, refs, got, subset)
+    # The unflushed sessions keep streaming exactly like their refs.
+    for k in (1, 3):
+        rest = workloads[k].samples[900:]
+        assert pool.append([sids[k]], [rest])[0] == refs[k].append(rest)
+    got = pool.flush([sids[3], sids[1]])
+    _assert_flushed_like(pool, sids, refs, got, [3, 1])
+
+
+def test_batched_flush_one_session_at_a_time():
+    # The gateway's close_session path: each session settles alone.
+    assert isinstance(IngestGateway(RATE).pool, BatchedSessionPool)
+    workloads = synthesize_workload(3, 12.0, seed=37)
+    streams = [w.samples[: 900 + 61 * k] for k, w in enumerate(workloads)]
+    pool, sids, refs, pool_reg, ref_reg = _flush_fixture(
+        streams, [w.profile for w in workloads]
+    )
+    for k, sid in enumerate(sids):
+        _assert_flushed_like(pool, sids, refs, pool.flush([sid]), [k])
+    _assert_counters_equal(pool_reg, ref_reg)
+
+
+def test_batched_flush_rejects_bad_ids_before_touching_sessions():
+    workloads = synthesize_workload(2, 8.0, seed=38)
+    pool = BatchedSessionPool(RATE)
+    sids = pool.add_sessions([w.profile for w in workloads])
+    pool.append(sids, [w.samples[:400] for w in workloads])
+    before = [pool.session(sid).op_stats for sid in sids]
+    with pytest.raises(ConfigurationError, match="duplicate"):
+        pool.flush([sids[0], sids[0]])
+    with pytest.raises(ConfigurationError, match="unknown"):
+        pool.flush([sids[1], 99])
+    assert [pool.session(sid).op_stats for sid in sids] == before
 
 
 # ----------------------------------------------------------------------

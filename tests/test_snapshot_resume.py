@@ -334,6 +334,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=backend):
             BatchedSessionPool(RATE).restore(tampered)
 
+    def test_from_snapshot_builds_the_recorded_pool_type(self):
+        batched = BatchedSessionPool(RATE)
+        batched.add_sessions(_PROFILES)
+        revived = SessionPool.from_snapshot(_roundtrip(batched.snapshot()))
+        assert type(revived) is BatchedSessionPool
+        lockstep = SessionPool(RATE)
+        lockstep.add_sessions(_PROFILES)
+        assert type(SessionPool.from_snapshot(lockstep.snapshot())) is (
+            SessionPool
+        )
+        with pytest.raises(ConfigurationError, match="backend None"):
+            BatchedSessionPool.from_snapshot(lockstep.snapshot())
+
     def test_pool_error_lists_every_mismatch(self):
         pool = SessionPool(RATE)
         pool.add_sessions(_PROFILES)
