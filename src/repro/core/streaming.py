@@ -63,6 +63,7 @@ from repro.types import CycleObservation, GaitType, StepEvent, StrideEstimate, U
 __all__ = [
     "SESSION_SNAPSHOT_SCHEMA",
     "ensure_snapshot_kind",
+    "check_stream_params",
     "StreamingOpStats",
     "StagedCycle",
     "StreamingPTrack",
@@ -108,6 +109,35 @@ def ensure_snapshot_kind(
             f"expected kind {kind!r} (session/pool/checkpoint blobs are "
             "not interchangeable)"
         )
+
+
+def check_stream_params(
+    sample_rate_hz: float,
+    settle_s: float,
+    max_buffer_s: float,
+    config: PTrackConfig,
+) -> None:
+    """Validate the stream parameters every streaming session shares.
+
+    The one copy of the constructor checks, so a caller that builds
+    sessions elsewhere (a fleet's worker processes) can reject bad
+    values in its own process first, with the same messages.
+
+    Raises:
+        ConfigurationError: On a non-positive rate, a settle horizon
+            shorter than one maximal gait cycle, or a rolling buffer
+            shorter than four settle horizons.
+    """
+    if sample_rate_hz <= 0:
+        raise ConfigurationError("sample_rate_hz must be positive")
+    min_cycle_s = 2.0 / config.min_step_rate_hz
+    if settle_s < min_cycle_s:
+        raise ConfigurationError(
+            f"settle_s must cover one maximal gait cycle "
+            f"({min_cycle_s:.1f} s), got {settle_s}"
+        )
+    if max_buffer_s < 4 * settle_s:
+        raise ConfigurationError("max_buffer_s must be >= 4 * settle_s")
 
 
 @dataclass
@@ -275,17 +305,10 @@ class StreamingPTrack:
         telemetry: Optional[MetricsRegistry] = None,
         collect_observations: bool = False,
     ) -> None:
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
         self._config = config if config is not None else PTrackConfig()
-        min_cycle_s = 2.0 / self._config.min_step_rate_hz
-        if settle_s < min_cycle_s:
-            raise ConfigurationError(
-                f"settle_s must cover one maximal gait cycle "
-                f"({min_cycle_s:.1f} s), got {settle_s}"
-            )
-        if max_buffer_s < 4 * settle_s:
-            raise ConfigurationError("max_buffer_s must be >= 4 * settle_s")
+        check_stream_params(
+            sample_rate_hz, settle_s, max_buffer_s, self._config
+        )
         self._rate = sample_rate_hz
         self._profile = profile
         self._settle = settle_s
@@ -1621,17 +1644,10 @@ class ReprocessingStreamingPTrack:
         settle_s: float = 2.5,
         max_buffer_s: float = 30.0,
     ) -> None:
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
         self._config = config if config is not None else PTrackConfig()
-        min_cycle_s = 2.0 / self._config.min_step_rate_hz
-        if settle_s < min_cycle_s:
-            raise ConfigurationError(
-                f"settle_s must cover one maximal gait cycle "
-                f"({min_cycle_s:.1f} s), got {settle_s}"
-            )
-        if max_buffer_s < 4 * settle_s:
-            raise ConfigurationError("max_buffer_s must be >= 4 * settle_s")
+        check_stream_params(
+            sample_rate_hz, settle_s, max_buffer_s, self._config
+        )
         self._rate = sample_rate_hz
         self._profile = profile
         self._settle = settle_s

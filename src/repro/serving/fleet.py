@@ -13,33 +13,40 @@ process, many processes, any shard size — cannot change any session's
 credited steps or strides; the serving tests assert this identity
 against serially-driven :class:`StreamingPTrack` instances.
 
+Every call runs through one epoch driver. With ``checkpoint_every_s``
+a shard serves in epochs of that many stream-seconds; without it,
+each shard serves one epoch spanning its whole stream, with no
+checkpoint and no store.
+
 Fault tolerance is layered on three levels:
 
-* **caller's process** — traces are validated eagerly before anything
-  is sharded, so malformed input fails as a
+* **caller's process** — traces and stream parameters are validated
+  eagerly before anything is sharded, so malformed input fails as a
   :class:`~repro.exceptions.ConfigurationError` here rather than a
   pickled traceback from a worker;
 * **inside a shard** — the pool isolates per-session exceptions: a
   poisoned session is reported with ``status="failed"`` and its error
   while its shard-mates keep serving;
 * **across shards** — a shard that dies wholesale (worker killed,
-  timeout, crash during pool construction) is retried by *bisection*:
-  split in half and re-served until the poison is cornered in a
-  single-session shard, which is then reported failed. The healthy
-  majority of the fleet always completes.
+  timeout, crash during pool construction) gets one retry in its own
+  worker pool: from its last checkpoint when it has one, from the
+  trace otherwise. A shard that dies again falls back to *bisection*:
+  split in half and re-served from the trace until the poison is
+  cornered in a single-session shard, which is then reported failed.
+  The healthy majority of the fleet always completes.
 
 With ``checkpoint_every_s`` set, :func:`serve_fleet` becomes a
 *rolling-restartable service* instead of a replay-only batch harness.
-Serving proceeds in epochs; after each epoch every shard's pool is
-snapshotted (``ptrack-session-v1``) together with the credits settled
-so far, in memory or — with ``checkpoint_dir`` — in an atomic
+After each epoch every shard's pool is snapshotted
+(``ptrack-session-v1``) together with the credits settled so far, in
+memory or — with ``checkpoint_dir`` — in an atomic
 :class:`~repro.serving.checkpoint.CheckpointStore`. A shard whose
 worker dies mid-epoch (crash, SIGKILL, timeout — the
 :class:`repro.faults.ShardCrash` surface) is *restored from its last
 checkpoint* and replays only the lost epoch, with zero credit loss and
-zero credit duplication; classic bisection from the original trace
-remains the fallback when no usable checkpoint exists (first epoch,
-torn checkpoint file, or an epoch that keeps dying). A
+zero credit duplication. A shard with no usable checkpoint (first
+epoch, torn checkpoint file) replays from its trace instead, and
+bisection remains the fallback for an epoch that keeps dying. A
 :class:`~repro.serving.rebalance.RebalancePolicy` may additionally
 split overloaded shards between epochs, migrating live session state
 through the same snapshot format without touching a single credit.
@@ -50,12 +57,13 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import PTrackConfig
+from repro.core.streaming import check_stream_params
 from repro.exceptions import CalibrationError, ConfigurationError
 from repro.faults.injectors import FaultInjector, plan_shard_crash
 from repro.faults.policy import FaultPolicy
@@ -64,7 +72,7 @@ from repro.profiles import (
     ProfileRecord,
     ProfileStore,
 )
-from repro.runtime import parallel_map_outcomes, resolve_workers
+from repro.runtime import TaskOutcome, parallel_map_outcomes, resolve_workers
 from repro.serving.checkpoint import (
     CheckpointStore,
     make_checkpoint,
@@ -131,8 +139,9 @@ class FleetReport:
     Attributes:
         sessions: Per-session reports in fleet order.
         n_samples: Samples across all input traces.
-        shard_retries: Bisection rounds spent healing failed shards
-            (0 on a clean run).
+        shard_retries: Re-serves of failed shards from their traces:
+            replays with no checkpoint to resume from plus bisection
+            rounds (0 on a clean run).
         telemetry: The fleet-wide metrics snapshot — per-shard
             registries merged across the process boundary, plus the
             fleet-level series (``serving_fleet_*``) — when
@@ -141,9 +150,9 @@ class FleetReport:
             :func:`~repro.telemetry.to_prometheus` or
             :func:`repro.eval.reporting.fleet_health_table`.
         checkpoint_restores: Shard epochs recovered from a checkpoint
-            instead of re-ingested (durable mode only).
+            instead of re-ingested (always 0 without checkpointing).
         rebalances: Live shard splits applied by the rebalance policy
-            (durable mode only).
+            (always 0 without checkpointing).
         profiles_loaded: Sessions whose profile was warm-loaded from
             the fleet's :class:`~repro.profiles.ProfileStore`.
         profiles_updated: Profile-record write-backs committed by
@@ -195,226 +204,64 @@ class FleetReport:
         return sum(s.gaps_reset for s in self.sessions)
 
 
-#: Worker payload: everything needed to rebuild one shard's pool. The
-#: final flag turns on the sessions' self-training observation tap
-#: (``_split_shard`` keeps everything past the per-session triple as an
-#: opaque tail, so appending fields here is split-safe).
-_Shard = Tuple[
-    List[int],
-    List[np.ndarray],
-    List[Optional[UserProfile]],
-    float,
-    Optional[PTrackConfig],
-    float,
-    float,
-    int,
-    Optional[FaultPolicy],
-    bool,
-    bool,
-]
+@dataclass(frozen=True)
+class _Shard:
+    """Worker payload: everything needed to rebuild one shard's pool.
 
-
-def _serve_shard(
-    shard: _Shard,
-) -> Tuple[
-    List[SessionReport],
-    Optional[Dict[str, Any]],
-    Dict[int, List[CycleObservation]],
-]:
-    """Serve one shard of sessions through a pool (worker entry point).
-
-    Module-level so it pickles for the process map; the payload
-    carries everything a worker needs to rebuild its shard's pool.
-    Per-session failures are contained by the pool and surfaced as
-    ``status="failed"`` reports; only shard-level disasters (worker
-    death, timeout) escape to the bisection layer above.
-
-    With telemetry requested, the worker builds a fresh registry for
-    its pool and ships the picklable snapshot home next to the
-    reports; the caller merges snapshots across shards, which is how
-    the fleet registry crosses process boundaries via ``parallel_map``.
-    With the observation tap on, the drained self-training evidence
-    travels home the same way, keyed by fleet index.
+    The first three fields are per session and aligned; the rest are
+    shared by the shard's sessions (see :func:`_split_shard`).
     """
-    (
-        indices,
-        traces,
-        profiles,
-        sample_rate_hz,
-        config,
-        settle_s,
-        max_buffer_s,
-        batch_samples,
-        fault_policy,
-        telemetry,
-        collect_observations,
-    ) = shard
-    registry = MetricsRegistry() if telemetry else None
-    pool = BatchedSessionPool(
-        sample_rate_hz,
-        config=config,
-        settle_s=settle_s,
-        max_buffer_s=max_buffer_s,
-        fault_policy=fault_policy,
-        telemetry=registry,
-        collect_observations=collect_observations,
-    )
-    sids = pool.add_sessions(profiles)
-    steps: List[List[StepEvent]] = [[] for _ in sids]
-    strides: List[List[StrideEstimate]] = [[] for _ in sids]
 
-    # Time-aligned serving: at each upload tick, every session whose
-    # trace still has samples contributes one batch to the pooled call.
-    longest = max((t.shape[0] for t in traces), default=0)
-    for offset in range(0, longest, batch_samples):
-        live = [k for k, t in enumerate(traces) if offset < t.shape[0]]
-        results = pool.append(
-            [sids[k] for k in live],
-            [traces[k][offset : offset + batch_samples] for k in live],
-        )
-        for k, (new_steps, new_strides) in zip(live, results):
-            steps[k].extend(new_steps)
-            strides[k].extend(new_strides)
-    for k, (new_steps, new_strides) in enumerate(pool.flush(sids)):
-        steps[k].extend(new_steps)
-        strides[k].extend(new_strides)
-
-    idx_of = {sid: indices[k] for k, sid in enumerate(sids)}
-    observations = {
-        idx_of[sid]: obs for sid, obs in pool.take_observations().items()
-    }
-    errors = pool.failed_sessions
-    reports = []
-    for k, sid in enumerate(sids):
-        ops = pool.session(sid).op_stats
-        reports.append(
-            SessionReport(
-                session_index=indices[k],
-                steps=tuple(steps[k]),
-                strides=tuple(strides[k]),
-                status="failed" if sid in errors else "ok",
-                error=errors.get(sid),
-                samples_repaired=ops.samples_repaired,
-                samples_rejected=ops.samples_rejected,
-                gaps_reset=ops.gaps_reset,
-            )
-        )
-    return (
-        reports,
-        registry.snapshot() if registry is not None else None,
-        observations,
-    )
+    indices: List[int]
+    traces: List[np.ndarray]
+    profiles: List[Optional[UserProfile]]
+    sample_rate_hz: float
+    config: Optional[PTrackConfig]
+    settle_s: float
+    max_buffer_s: float
+    batch_samples: int
+    fault_policy: Optional[FaultPolicy]
+    telemetry: bool
+    #: Turns on the sessions' self-training observation tap.
+    collect_observations: bool
 
 
 def _split_shard(shard: _Shard) -> List[_Shard]:
-    """Bisect a failed shard into two halves (for healing retries)."""
-    indices, traces, profiles = shard[0], shard[1], shard[2]
-    rest = shard[3:]
-    mid = len(indices) // 2
+    """Halve a shard (bisection healing and live rebalancing)."""
+    mid = len(shard.indices) // 2
     return [
-        (indices[:mid], traces[:mid], profiles[:mid], *rest),
-        (indices[mid:], traces[mid:], profiles[mid:], *rest),
+        replace(
+            shard,
+            indices=shard.indices[half],
+            traces=shard.traces[half],
+            profiles=shard.profiles[half],
+        )
+        for half in (slice(None, mid), slice(mid, None))
     ]
 
 
-def _heal_shards(
-    shards: Sequence[_Shard],
-    n_workers: int,
-    shard_timeout_s: Optional[float],
-) -> Tuple[
-    Dict[int, SessionReport],
-    List[Dict[str, Any]],
-    int,
-    Dict[int, List[CycleObservation]],
-]:
-    """Serve shards to completion with bisection healing (the classic
-    replay-from-trace path).
-
-    Every pending shard is served; a shard that fails wholesale is
-    bisected and re-served from the original traces until the poison
-    is cornered in a single-session shard, which gets
-    :data:`_MAX_SHARD_ATTEMPTS` tries before being written off. Each
-    round runs in a fresh pool, so a worker lost to a crash in round k
-    cannot poison round k+1 — which also means a shard that failed only
-    as *collateral* of a pool break deserves a clean retry before being
-    written off. Terminates because splits strictly shrink shards and
-    attempts are bounded.
-
-    Returns ``(reports_by_index, telemetry_snapshots, retries,
-    observations_by_index)`` — observations only from shards whose tap
-    is on, delivered exactly once per successfully served shard.
-    """
-    results: Dict[int, SessionReport] = {}
-    snapshots: List[Dict[str, Any]] = []
-    observations: Dict[int, List[CycleObservation]] = {}
-    retries = 0
-    pending: List[Tuple[_Shard, int]] = [(shard, 0) for shard in shards]
-    while pending:
-        with trace_span("serve_fleet.healing_round"):
-            if n_workers > 1 and any(attempts for _, attempts in pending):
-                # Retry round: one pool per shard, so a culprit that
-                # kills its worker cannot break the pool under its
-                # innocent collateral siblings a second time.
-                outcomes = []
-                for shard, _ in pending:
-                    outcomes.extend(
-                        parallel_map_outcomes(
-                            _serve_shard,
-                            [shard],
-                            workers=n_workers,
-                            timeout_s=shard_timeout_s,
-                        )
-                    )
-            else:
-                outcomes = parallel_map_outcomes(
-                    _serve_shard,
-                    [shard for shard, _ in pending],
-                    workers=n_workers,
-                    timeout_s=shard_timeout_s,
-                )
-        next_round: List[Tuple[_Shard, int]] = []
-        for (shard, attempts), outcome in zip(pending, outcomes):
-            if outcome.ok:
-                reports, snapshot, shard_obs = outcome.value
-                for report in reports:
-                    results[report.session_index] = report
-                if snapshot is not None:
-                    snapshots.append(snapshot)
-                observations.update(shard_obs)
-            elif len(shard[0]) > 1:
-                next_round.extend((s, 0) for s in _split_shard(shard))
-                retries += 1
-            elif attempts + 1 < _MAX_SHARD_ATTEMPTS:
-                next_round.append((shard, attempts + 1))
-                retries += 1
-            else:
-                index = shard[0][0]
-                results[index] = SessionReport(
-                    session_index=index,
-                    steps=(),
-                    strides=(),
-                    status="failed",
-                    error=outcome.error,
-                )
-        pending = next_round
-    return results, snapshots, retries, observations
-
-
-# ----------------------------------------------------------------------
-# Durable mode: epoch serving, checkpoint recovery, live rebalancing
-# ----------------------------------------------------------------------
-
 #: One epoch's worker payload: the static shard, the pool snapshot to
 #: resume from (``None`` = first epoch, build fresh), the absolute
-#: sample offset to start at, the tick budget, and an optional injected
-#: crash directive ``(mode, position)``.
+#: sample offset to start at, the tick budget (``None`` = to the end
+#: of the stream), and an optional injected crash directive
+#: ``(mode, position)``.
 _EpochJob = Tuple[
-    _Shard, Optional[Dict[str, Any]], int, int, Optional[Tuple[str, float]]
+    _Shard,
+    Optional[Dict[str, Any]],
+    int,
+    Optional[int],
+    Optional[Tuple[str, float]],
 ]
 
 
 def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
-    """Serve one shard for one epoch (durable-mode worker entry point).
+    """Serve one shard for one epoch (the worker entry point).
+
+    Module-level so it pickles for the process map; the payload
+    carries everything a worker needs to rebuild its shard's pool.
+    Per-session failures are contained by the pool and surfaced as
+    ``status="failed"`` health; only shard-level disasters (worker
+    death, timeout) escape to the driver.
 
     Resumes the shard's pool from its snapshot (or builds it fresh on
     the first epoch), serves at most ``epoch_ticks`` upload ticks, and
@@ -423,35 +270,27 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     partial work is simply never returned and the replay after restore
     cannot double-count. On the final epoch (the shard's traces are
     exhausted) the pool is flushed and per-session health travels home
-    instead of a snapshot.
+    instead of a snapshot. With telemetry requested the worker serves
+    under a fresh registry and ships its snapshot home; with the
+    observation tap on, the drained self-training evidence travels
+    home the same way, keyed by fleet index.
     """
     shard, pool_blob, start, epoch_ticks, crash = job
-    (
-        indices,
-        traces,
-        profiles,
-        sample_rate_hz,
-        config,
-        settle_s,
-        max_buffer_s,
-        batch_samples,
-        fault_policy,
-        telemetry,
-        collect_observations,
-    ) = shard
+    indices, traces = shard.indices, shard.traces
+    batch_samples = shard.batch_samples
     t0 = time.perf_counter()
-    registry = MetricsRegistry() if telemetry else None
+    registry = MetricsRegistry() if shard.telemetry else None
     if pool_blob is None:
         pool = BatchedSessionPool(
-            sample_rate_hz,
-            config=config,
-            settle_s=settle_s,
-            max_buffer_s=max_buffer_s,
-            fault_policy=fault_policy,
+            shard.sample_rate_hz,
+            config=shard.config,
+            settle_s=shard.settle_s,
+            max_buffer_s=shard.max_buffer_s,
+            fault_policy=shard.fault_policy,
             telemetry=registry,
-            collect_observations=collect_observations,
+            collect_observations=shard.collect_observations,
         )
-        sids = pool.add_sessions(profiles)
+        sids = pool.add_sessions(shard.profiles)
     else:
         pool = BatchedSessionPool.from_snapshot(
             pool_blob, telemetry=registry
@@ -460,8 +299,14 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     steps: List[List[StepEvent]] = [[] for _ in sids]
     strides: List[List[StrideEstimate]] = [[] for _ in sids]
 
+    # Time-aligned serving: at each upload tick, every session whose
+    # trace still has samples contributes one batch to the pooled call.
     longest = max((t.shape[0] for t in traces), default=0)
-    end = min(longest, start + epoch_ticks * batch_samples)
+    end = (
+        longest
+        if epoch_ticks is None
+        else min(longest, start + epoch_ticks * batch_samples)
+    )
     ticks = range(start, end, batch_samples)
     crash_tick = (
         min(len(ticks) - 1, int(crash[1] * len(ticks)))
@@ -538,6 +383,127 @@ def _serve_shard_epoch(job: _EpochJob) -> Dict[str, Any]:
     }
 
 
+def _session_reports(
+    indices: Sequence[int],
+    steps: Sequence[Sequence[StepEvent]],
+    strides: Sequence[Sequence[StrideEstimate]],
+    health: Sequence[Tuple],
+) -> Dict[int, SessionReport]:
+    """Final reports of a finished shard, keyed by fleet index."""
+    return {
+        index: SessionReport(
+            index, tuple(steps[k]), tuple(strides[k]), *health[k]
+        )
+        for k, index in enumerate(indices)
+    }
+
+
+def _serve_round(
+    jobs: Sequence[_EpochJob],
+    retrying: bool,
+    n_workers: int,
+    timeout_s: Optional[float],
+) -> List[TaskOutcome]:
+    """Serve one round of epoch jobs, one outcome per job.
+
+    A retry round on worker processes gives each job its own pool, so
+    a culprit that kills its worker cannot break the pool under its
+    innocent collateral siblings a second time.
+    """
+    if retrying and n_workers > 1:
+        return [
+            outcome
+            for job in jobs
+            for outcome in parallel_map_outcomes(
+                _serve_shard_epoch,
+                [job],
+                workers=n_workers,
+                timeout_s=timeout_s,
+            )
+        ]
+    return parallel_map_outcomes(
+        _serve_shard_epoch, jobs, workers=n_workers, timeout_s=timeout_s
+    )
+
+
+def _heal_shards(
+    shards: Sequence[_Shard],
+    n_workers: int,
+    shard_timeout_s: Optional[float],
+) -> Tuple[
+    Dict[int, SessionReport],
+    List[Dict[str, Any]],
+    int,
+    Dict[int, List[CycleObservation]],
+]:
+    """Serve shards from their traces with bisection healing (the
+    fallback for a shard the epoch driver could not recover).
+
+    Every pending shard is served as one whole-stream epoch; a shard
+    that fails wholesale is bisected and re-served from the original
+    traces until the poison is cornered in a single-session shard,
+    which gets :data:`_MAX_SHARD_ATTEMPTS` tries before being written
+    off. Each round runs in a fresh pool, so a worker lost to a crash
+    in round k cannot poison round k+1 — which also means a shard that
+    failed only as *collateral* of a pool break deserves a clean retry
+    before being written off. Terminates because splits strictly
+    shrink shards and attempts are bounded.
+
+    Returns ``(reports_by_index, telemetry_snapshots, retries,
+    observations_by_index)`` — observations only from shards whose tap
+    is on, delivered exactly once per successfully served shard.
+    """
+    results: Dict[int, SessionReport] = {}
+    snapshots: List[Dict[str, Any]] = []
+    observations: Dict[int, List[CycleObservation]] = {}
+    retries = 0
+    pending: List[Tuple[_Shard, int]] = [(shard, 0) for shard in shards]
+    while pending:
+        with trace_span("serve_fleet.healing_round"):
+            outcomes = _serve_round(
+                [(shard, None, 0, None, None) for shard, _ in pending],
+                any(attempts for _, attempts in pending),
+                n_workers,
+                shard_timeout_s,
+            )
+        next_round: List[Tuple[_Shard, int]] = []
+        for (shard, attempts), outcome in zip(pending, outcomes):
+            if outcome.ok:
+                res = outcome.value
+                results.update(
+                    _session_reports(
+                        shard.indices,
+                        res["steps"],
+                        res["strides"],
+                        res["health"],
+                    )
+                )
+                if res["telemetry"] is not None:
+                    snapshots.append(res["telemetry"])
+                observations.update(res["observations"])
+            elif len(shard.indices) > 1:
+                next_round.extend((s, 0) for s in _split_shard(shard))
+                retries += 1
+            elif attempts + 1 < _MAX_SHARD_ATTEMPTS:
+                next_round.append((shard, attempts + 1))
+                retries += 1
+            else:
+                index = shard.indices[0]
+                results[index] = SessionReport(
+                    session_index=index,
+                    steps=(),
+                    strides=(),
+                    status="failed",
+                    error=outcome.error,
+                )
+        pending = next_round
+    return results, snapshots, retries, observations
+
+
+# ----------------------------------------------------------------------
+# Self-training and the epoch driver
+# ----------------------------------------------------------------------
+
 class _ProfileCtx:
     """Driver-side streaming self-training state for one fleet run.
 
@@ -573,11 +539,9 @@ class _ProfileCtx:
             else:
                 self.trainers[uid] = IncrementalSelfTrainer(config=config)
 
-    def feed(
-        self, observations: Dict[int, List[CycleObservation]]
-    ) -> Set[str]:
-        """Feed fleet-indexed observations to their users' trainers;
-        returns the user ids that received anything."""
+    def train(self, observations: Dict[int, List[CycleObservation]]) -> None:
+        """Feed fleet-indexed observations to their users' trainers and
+        persist every user that received any."""
         fed: Set[str] = set()
         for index, obs in observations.items():
             uid = self.user_ids[index]
@@ -585,7 +549,8 @@ class _ProfileCtx:
                 continue
             self.trainers[uid].observe(obs)
             fed.add(uid)
-        return fed
+        if fed:
+            self.write_back(fed)
 
     def write_back(self, user_ids: Set[str]) -> None:
         """Persist the named users' records with compare-and-swap.
@@ -676,7 +641,7 @@ class _ProfileCtx:
 
 
 @dataclass
-class _DurableShard:
+class _ShardState:
     """Driver-side bookkeeping for one shard across epochs."""
 
     sid: int
@@ -695,7 +660,6 @@ class _DurableShard:
     #: fault-plan attempt coordinate so replayed epochs re-roll as
     #: retries instead of deterministically re-dying.
     restarts: int = 0
-    last: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
     @property
     def name(self) -> str:
@@ -703,33 +667,34 @@ class _DurableShard:
         return f"shard-{self.sid}"
 
 
-def _serve_fleet_durable(
+def _serve_fleet_epochs(
     shards: List[_Shard],
-    n: int,
+    epoch_ticks: Optional[int],
     n_workers: int,
     shard_timeout_s: Optional[float],
     telemetry: bool,
-    sample_rate_hz: float,
-    batch_samples: int,
-    checkpoint_every_s: float,
     checkpoint_dir: Optional[os.PathLike],
     rebalance: Optional[RebalancePolicy],
     shard_faults: Sequence[FaultInjector],
     fault_seed: int,
-    profile_ctx: Optional[_ProfileCtx] = None,
+    profile_ctx: Optional[_ProfileCtx],
 ) -> Tuple[Dict[int, SessionReport], List[Dict[str, Any]], int, int, int]:
     """Drive the fleet epoch by epoch with checkpoint recovery.
 
+    ``epoch_ticks=None`` serves every shard in one epoch spanning its
+    whole stream, so nothing is ever checkpointed: a failed shard is
+    re-served from its trace, once, before bisection.
+
     Returns ``(reports_by_index, telemetry_snapshots, retries,
-    restores, rebalances)``. The credit stream is bit-identical to the
-    classic path: epochs only partition the same append sequence, the
-    flush still happens exactly once at each shard's end of stream, and
+    restores, rebalances)``. ``retries`` counts every re-serve from
+    the trace (a replay with no checkpoint to resume from, plus the
+    fallback's bisection rounds); ``restores`` counts replays resumed
+    from a checkpoint. The credit stream does not depend on the epoch
+    length: epochs only partition the same append sequence, the flush
+    still happens exactly once at each shard's end of stream, and
     crash recovery replays from a snapshot proven bit-identical by the
     resume oracle.
     """
-    epoch_ticks = max(
-        1, int(round(checkpoint_every_s * sample_rate_hz / batch_samples))
-    )
     driver_reg = MetricsRegistry() if telemetry else None
     store = (
         CheckpointStore(
@@ -741,14 +706,13 @@ def _serve_fleet_durable(
         if checkpoint_dir is not None
         else None
     )
-    states = [
-        _DurableShard(sid=i, shard=shard) for i, shard in enumerate(shards)
+    active = [
+        _ShardState(sid=i, shard=shard) for i, shard in enumerate(shards)
     ]
-    next_sid = len(states)
+    next_sid = len(active)
     results: Dict[int, SessionReport] = {}
     snapshots: List[Dict[str, Any]] = []
     retries = restores = rebalances = 0
-    active = list(states)
 
     while active:
         jobs: List[_EpochJob] = []
@@ -777,49 +741,26 @@ def _serve_fleet_durable(
             blob = st.ckpt["pool"] if st.ckpt is not None else None
             jobs.append((st.shard, blob, start, epoch_ticks, crash))
         with trace_span("serve_fleet.epoch"):
-            if n_workers > 1 and any(st.attempt for st in active):
-                # Recovery round: isolate each shard in its own pool so
-                # a repeat offender cannot re-break its siblings' round.
-                outcomes = []
-                for job in jobs:
-                    outcomes.extend(
-                        parallel_map_outcomes(
-                            _serve_shard_epoch,
-                            [job],
-                            workers=n_workers,
-                            timeout_s=shard_timeout_s,
-                        )
-                    )
-            else:
-                outcomes = parallel_map_outcomes(
-                    _serve_shard_epoch,
-                    jobs,
-                    workers=n_workers,
-                    timeout_s=shard_timeout_s,
-                )
+            outcomes = _serve_round(
+                jobs,
+                any(st.attempt for st in active),
+                n_workers,
+                shard_timeout_s,
+            )
 
-        survivors: List[_DurableShard] = []
+        survivors: List[_ShardState] = []
         epoch_stats: List[ShardEpochStats] = []
         for st, outcome in zip(active, outcomes):
             if outcome.ok:
                 res = outcome.value
-                prev = st.ckpt
-                acc_steps = (
-                    [list(s) for s in prev["steps"]]
-                    if prev is not None
-                    else [[] for _ in st.shard[0]]
-                )
-                acc_strides = (
-                    [list(s) for s in prev["strides"]]
-                    if prev is not None
-                    else [[] for _ in st.shard[0]]
-                )
-                for k in range(len(st.shard[0])):
-                    acc_steps[k].extend(res["steps"][k])
-                    acc_strides[k].extend(res["strides"][k])
+                steps, strides = res["steps"], res["strides"]
+                if st.ckpt is not None:
+                    steps = [[*a, *b] for a, b in zip(st.ckpt["steps"], steps)]
+                    strides = [
+                        [*a, *b] for a, b in zip(st.ckpt["strides"], strides)
+                    ]
                 st.epoch += 1
                 st.attempt = 0
-                st.last = res
                 if res["telemetry"] is not None:
                     snapshots.append(res["telemetry"])
                 # Streaming self-training: feed this epoch's drained
@@ -828,40 +769,28 @@ def _serve_fleet_durable(
                 # users before the checkpoint commits, so the pinned
                 # versions are always the post-write-back ones.
                 if profile_ctx is not None:
-                    fed: Set[str] = set()
-                    if st.epoch > st.obs_fed and res["observations"]:
-                        fed = profile_ctx.feed(res["observations"])
+                    if st.epoch > st.obs_fed:
+                        profile_ctx.train(res["observations"])
                     st.obs_fed = max(st.obs_fed, st.epoch)
-                    if fed:
-                        profile_ctx.write_back(fed)
                 if res["done"]:
-                    for k, index in enumerate(st.shard[0]):
-                        status, error, repaired, rejected, gaps = res[
-                            "health"
-                        ][k]
-                        results[index] = SessionReport(
-                            session_index=index,
-                            steps=tuple(acc_steps[k]),
-                            strides=tuple(acc_strides[k]),
-                            status=status,
-                            error=error,
-                            samples_repaired=repaired,
-                            samples_rejected=rejected,
-                            gaps_reset=gaps,
+                    results.update(
+                        _session_reports(
+                            st.shard.indices, steps, strides, res["health"]
                         )
+                    )
                     if store is not None:
                         store.delete(st.name)
                 else:
                     st.ckpt = make_checkpoint(
                         res["pool"],
                         res["next_offset"],
-                        acc_steps,
-                        acc_strides,
+                        steps,
+                        strides,
                         st.epoch,
                     )
                     if profile_ctx is not None:
                         st.ckpt["profiles"] = profile_ctx.shard_versions(
-                            st.shard[0]
+                            st.shard.indices
                         )
                     if store is not None:
                         store.save(st.name, st.ckpt)
@@ -869,7 +798,7 @@ def _serve_fleet_durable(
                     epoch_stats.append(
                         ShardEpochStats(
                             shard_id=st.sid,
-                            n_sessions=len(st.shard[0]),
+                            n_sessions=len(st.shard.indices),
                             elapsed_s=float(res["elapsed_s"]),
                             round_seconds_sum=res["round_seconds_sum"],
                             round_seconds_count=res["round_seconds_count"],
@@ -880,22 +809,30 @@ def _serve_fleet_durable(
 
             # Shard-level death: restore from the last checkpoint and
             # replay the lost epoch; exhaust the attempt budget and the
-            # shard falls back to classic bisection from the trace.
+            # shard falls back to bisection from the trace.
             st.crashes += 1
             st.attempt += 1
             if st.attempt >= _MAX_SHARD_ATTEMPTS:
-                # Bisection re-serves the whole trace, but earlier
-                # epochs' observations were already fed — re-run the
-                # fallback with the tap off so self-training evidence
-                # stays exactly-once (this shard simply contributes no
-                # further evidence).
-                fallback = st.shard[:10] + (False,)
-                healed, heal_snaps, heal_retries, _ = _heal_shards(
+                # Bisection re-serves the whole trace. Once earlier
+                # epochs' observations were fed, the fallback runs with
+                # the tap off so self-training evidence stays exactly-
+                # once (the shard contributes no further evidence); a
+                # shard that fed nothing yet trains on the healed
+                # shards' evidence instead.
+                fallback = replace(
+                    st.shard,
+                    collect_observations=(
+                        st.shard.collect_observations and st.obs_fed == 0
+                    ),
+                )
+                healed, heal_snaps, heal_retries, heal_obs = _heal_shards(
                     [fallback], n_workers, shard_timeout_s
                 )
                 results.update(healed)
                 snapshots.extend(heal_snaps)
                 retries += heal_retries + 1
+                if profile_ctx is not None:
+                    profile_ctx.train(heal_obs)
                 if store is not None:
                     store.delete(st.name)
                 continue
@@ -911,8 +848,10 @@ def _serve_fleet_durable(
                 if profile_ctx is not None:
                     # Fail loud before resuming over profiles an
                     # external writer advanced mid-run.
-                    profile_ctx.check_restored(st.ckpt, st.shard[0])
+                    profile_ctx.check_restored(st.ckpt, st.shard.indices)
                 restores += 1
+            else:
+                retries += 1
             survivors.append(st)
 
         # Live rebalancing: split overloaded shards between epochs by
@@ -923,12 +862,16 @@ def _serve_fleet_durable(
             by_sid = {st.sid: st for st in survivors}
             for sid in rebalance.plan(epoch_stats):
                 st = by_sid.get(sid)
-                if st is None or st.ckpt is None or len(st.shard[0]) < 2:
+                if (
+                    st is None
+                    or st.ckpt is None
+                    or len(st.shard.indices) < 2
+                ):
                     continue
-                mid = len(st.shard[0]) // 2
+                mid = len(st.shard.indices) // 2
                 left_ck, right_ck = split_checkpoint(st.ckpt, mid)
                 left_shard, right_shard = _split_shard(st.shard)
-                right = _DurableShard(
+                right = _ShardState(
                     sid=next_sid,
                     shard=right_shard,
                     ckpt=right_ck,
@@ -1033,9 +976,9 @@ def serve_fleet(
             fleet evenly over the resolved workers.
         fault_policy: Degraded-mode ingest policy for every session;
             required to serve traces with non-finite samples.
-        shard_timeout_s: Wall-clock budget per healing round; a shard
-            not finished in time is treated as failed and bisected.
-            Enforced only with ``workers > 1``.
+        shard_timeout_s: Wall-clock budget per serving round; a shard
+            not finished in time is treated as failed, retried and then
+            bisected. Enforced only with ``workers > 1``.
         telemetry: Collect a fleet-wide metrics snapshot: every shard
             serves under its own in-worker registry, snapshots travel
             home with the shard results, and the merge (additive
@@ -1049,9 +992,9 @@ def serve_fleet(
             (``ptrack-session-v1``) plus its settled credits after each
             epoch. A shard lost mid-epoch restores from its last
             checkpoint and replays only the lost epoch instead of
-            re-ingesting; repeated failure falls back to classic
-            bisection from the trace. ``None`` (default) keeps the
-            classic single-pass path byte for byte.
+            re-ingesting; repeated failure falls back to bisection
+            from the trace. ``None`` (default) serves each shard in
+            one epoch spanning its whole stream, with no checkpoint.
         checkpoint_dir: Persist checkpoints to this directory through
             an atomic :class:`~repro.serving.checkpoint.CheckpointStore`
             (created if missing). The disk copy is authoritative on
@@ -1085,11 +1028,11 @@ def serve_fleet(
             :class:`~repro.profiles.IncrementalSelfTrainer` instances
             (one per user, warm-started from persisted
             ``trainer_state``) and persist updated profile records with
-            compare-and-swap — at every checkpoint epoch in durable
-            mode, once at completion on the classic path. Observations
-            are delivered exactly once even across crash replays; live
-            sessions are never retouched, so the credit stream is
-            invariant to self-training. Requires ``profile_store``.
+            compare-and-swap after each shard epoch (without
+            checkpointing, once per shard). Observations are delivered
+            exactly once even across crash replays; live sessions are
+            never retouched, so the credit stream is invariant to
+            self-training. Requires ``profile_store``.
 
     Returns:
         A :class:`FleetReport` with per-session results in fleet
@@ -1098,7 +1041,8 @@ def serve_fleet(
 
     Raises:
         ConfigurationError: On malformed traces, mismatched lengths,
-            or a bad cadence — always from the caller's process.
+            a bad cadence or bad stream parameters (rate, settle
+            horizon, buffer bound) — always from the caller's process.
     """
     n = len(traces)
     if profiles is None:
@@ -1131,6 +1075,12 @@ def serve_fleet(
         raise ConfigurationError(
             f"batch_samples must be >= 1, got {batch_samples}"
         )
+    check_stream_params(
+        sample_rate_hz,
+        settle_s,
+        max_buffer_s,
+        config if config is not None else PTrackConfig(),
+    )
     if checkpoint_every_s is None:
         for arg, name in (
             (checkpoint_dir, "checkpoint_dir"),
@@ -1184,50 +1134,43 @@ def serve_fleet(
         raise ConfigurationError(
             f"sessions_per_shard must be >= 1, got {sessions_per_shard}"
         )
-    shards: List[_Shard] = [
-        (
-            list(range(lo, min(lo + sessions_per_shard, n))),
-            validated[lo : lo + sessions_per_shard],
-            list(profiles[lo : lo + sessions_per_shard]),
-            sample_rate_hz,
-            config,
-            settle_s,
-            max_buffer_s,
-            batch_samples,
-            fault_policy,
-            telemetry,
-            profile_ctx is not None,
+    shards = [
+        _Shard(
+            indices=list(range(lo, min(lo + sessions_per_shard, n))),
+            traces=validated[lo : lo + sessions_per_shard],
+            profiles=list(profiles[lo : lo + sessions_per_shard]),
+            sample_rate_hz=sample_rate_hz,
+            config=config,
+            settle_s=settle_s,
+            max_buffer_s=max_buffer_s,
+            batch_samples=batch_samples,
+            fault_policy=fault_policy,
+            telemetry=telemetry,
+            collect_observations=profile_ctx is not None,
         )
         for lo in range(0, n, sessions_per_shard)
     ]
-
-    restores = rebalances = 0
-    if checkpoint_every_s is not None:
-        results, snapshots, retries, restores, rebalances = (
-            _serve_fleet_durable(
-                shards,
-                n,
-                n_workers,
-                shard_timeout_s,
-                telemetry,
-                sample_rate_hz,
-                batch_samples,
-                checkpoint_every_s,
-                checkpoint_dir,
-                rebalance,
-                list(shard_faults) if shard_faults else [],
-                fault_seed,
-                profile_ctx,
-            )
+    # Without checkpointing, each shard serves one whole-stream epoch.
+    epoch_ticks = (
+        None
+        if checkpoint_every_s is None
+        else max(
+            1,
+            int(round(checkpoint_every_s * sample_rate_hz / batch_samples)),
         )
-    else:
-        # Classic path: one pass per shard, bisection healing on
-        # wholesale failure.
-        results, snapshots, retries, fleet_obs = _heal_shards(
-            shards, n_workers, shard_timeout_s
-        )
-        if profile_ctx is not None and fleet_obs:
-            profile_ctx.write_back(profile_ctx.feed(fleet_obs))
+    )
+    results, snapshots, retries, restores, rebalances = _serve_fleet_epochs(
+        shards,
+        epoch_ticks,
+        n_workers,
+        shard_timeout_s,
+        telemetry,
+        checkpoint_dir,
+        rebalance,
+        list(shard_faults) if shard_faults else [],
+        fault_seed,
+        profile_ctx,
+    )
 
     sessions = tuple(results[i] for i in range(n))
     merged: Optional[Dict[str, Any]] = None
@@ -1242,13 +1185,10 @@ def serve_fleet(
         fleet_reg.counter("serving_fleet_sessions_failed_total").inc(
             sum(1 for s in sessions if s.status != "ok")
         )
-        if checkpoint_every_s is not None:
-            fleet_reg.counter(
-                "serving_fleet_checkpoint_restores_total"
-            ).inc(restores)
-            fleet_reg.counter("serving_fleet_rebalances_total").inc(
-                rebalances
-            )
+        fleet_reg.counter("serving_fleet_checkpoint_restores_total").inc(
+            restores
+        )
+        fleet_reg.counter("serving_fleet_rebalances_total").inc(rebalances)
         if profile_store is not None:
             fleet_reg.counter("serving_fleet_profiles_loaded_total").inc(
                 profiles_loaded

@@ -355,3 +355,69 @@ class TestSelfTraining:
             _TRACES, RATE, profiles=_PROFILES, workers=1, batch_samples=BATCH
         )
         assert _credits(report) == _credits(direct)
+
+    def test_classic_per_shard_write_back_matches_one_shard(self, tmp_path):
+        # One user streams in two sessions that land in different
+        # shards, so its record is written back once per shard epoch.
+        traces = _TRACES + _TRACES[:1]
+        user_ids = _USER_IDS + _USER_IDS[:1]
+        kwargs = dict(
+            user_ids=user_ids,
+            self_train=True,
+            workers=1,
+            batch_samples=BATCH,
+        )
+        one = _seeded_store(tmp_path / "one")
+        serve_fleet(traces, RATE, profile_store=one, **kwargs)
+        many = _seeded_store(tmp_path / "many")
+        report = serve_fleet(
+            traces, RATE, profile_store=many, sessions_per_shard=1, **kwargs
+        )
+        assert report.profiles_updated == len(traces)
+        for uid in _USER_IDS:
+            want, got = one.get(uid), many.get(uid)
+            assert got.observations == want.observations > 0
+            assert got.profile == want.profile
+            assert got.trainer_state == want.trainer_state
+
+    def test_fallback_before_any_feed_keeps_evidence(self, tmp_path):
+        # Every shard dies twice in its first epoch, so it falls back
+        # to bisection before feeding anything; the healed shards'
+        # evidence must still reach the trainers, exactly once.
+        fleet = synthesize_workload(4, 12.0, seed=88)
+        traces = [w.samples for w in fleet]
+        user_ids = [w.user.name for w in fleet]
+
+        def seeded(path):
+            store = ProfileStore(path)
+            store.put_many(
+                ProfileRecord(user_id=w.user.name, profile=w.profile)
+                for w in fleet
+            )
+            return store
+
+        kwargs = dict(
+            user_ids=user_ids,
+            self_train=True,
+            workers=1,
+            batch_samples=BATCH,
+        )
+        clean_store = seeded(tmp_path / "clean")
+        clean = serve_fleet(traces, RATE, profile_store=clean_store, **kwargs)
+        crashy_store = seeded(tmp_path / "crashy")
+        crashy = serve_fleet(
+            traces,
+            RATE,
+            profile_store=crashy_store,
+            checkpoint_every_s=4.0,
+            shard_faults=[ShardCrash(prob=1.0, retry_prob=1.0)],
+            **kwargs,
+        )
+        assert crashy.shard_retries > 0, "fallback never ran"
+        assert crashy.checkpoint_restores == 0
+        assert crashy.profiles_updated == clean.profiles_updated == 4
+        for uid in user_ids:
+            want, got = clean_store.get(uid), crashy_store.get(uid)
+            assert got.observations == want.observations > 0
+            assert got.profile == want.profile
+        assert _credits(crashy) == _credits(clean)

@@ -138,6 +138,26 @@ class TestEagerValidation:
         assert report.status == "ok"
         assert report.sessions == ()
 
+    @pytest.mark.parametrize(
+        "rate, kwargs, match",
+        [
+            (0.0, {}, "sample_rate_hz"),
+            (100.0, {"settle_s": -1.0}, "settle_s"),
+            (100.0, {"max_buffer_s": 0.0}, "max_buffer_s"),
+        ],
+    )
+    def test_bad_stream_params_raise_before_serving(
+        self, monkeypatch, rate, kwargs, match
+    ):
+        # The caller gets the error; no shard is served and bisected.
+        def unreachable(job):
+            raise AssertionError("a shard was served")
+
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", unreachable)
+        traces, _ = _workload(2)
+        with pytest.raises(ConfigurationError, match=match):
+            fleet_mod.serve_fleet(traces, rate, workers=1, **kwargs)
+
 
 class TestDegradedFleet:
     def test_faulted_fleet_completes_with_counters(self):
@@ -182,14 +202,14 @@ class TestDegradedFleet:
 class TestShardHealing:
     def test_killed_shard_is_bisected_to_the_culprit(self, monkeypatch):
         traces, profiles = _workload(4)
-        real = fleet_mod._serve_shard
+        real = fleet_mod._serve_shard_epoch
 
-        def poisoned(shard):
-            if 2 in shard[0]:
+        def poisoned(job):
+            if 2 in job[0].indices:
                 raise RuntimeError("worker down")
-            return real(shard)
+            return real(job)
 
-        monkeypatch.setattr(fleet_mod, "_serve_shard", poisoned)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", poisoned)
         report = fleet_mod.serve_fleet(
             traces,
             100.0,
@@ -213,14 +233,14 @@ class TestShardHealing:
         clean = serve_fleet(
             traces, 100.0, profiles=profiles, sessions_per_shard=4
         )
-        real = fleet_mod._serve_shard
+        real = fleet_mod._serve_shard_epoch
 
-        def poisoned(shard):
-            if 2 in shard[0]:
+        def poisoned(job):
+            if 2 in job[0].indices:
                 raise RuntimeError("worker down")
-            return real(shard)
+            return real(job)
 
-        monkeypatch.setattr(fleet_mod, "_serve_shard", poisoned)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", poisoned)
         healed = fleet_mod.serve_fleet(
             traces,
             100.0,
@@ -233,13 +253,56 @@ class TestShardHealing:
                 (e.index, e.time) for e in clean.sessions[i].steps
             ]
 
+    @pytest.mark.parametrize(
+        "checkpoint_every_s, failing_call, retries, restores",
+        [
+            (None, 1, 1, 0),  # classic: replay the whole stream
+            (4.0, 1, 1, 0),  # durable, before the first checkpoint
+            (4.0, 2, 0, 1),  # durable, resumed from a checkpoint
+        ],
+    )
+    def test_every_failed_attempt_is_counted(
+        self, monkeypatch, checkpoint_every_s, failing_call, retries, restores
+    ):
+        traces, profiles = _workload(2)
+        clean = serve_fleet(traces, 100.0, profiles=profiles, workers=1)
+        real = fleet_mod._serve_shard_epoch
+        calls = []
+
+        def flaky(job):
+            calls.append(job)
+            if len(calls) == failing_call:
+                raise RuntimeError("transient")
+            return real(job)
+
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", flaky)
+        report = fleet_mod.serve_fleet(
+            traces,
+            100.0,
+            profiles=profiles,
+            workers=1,
+            telemetry=True,
+            checkpoint_every_s=checkpoint_every_s,
+        )
+        assert report.status == "ok"
+        assert report.shard_retries == retries
+        assert report.checkpoint_restores == restores
+        counters = report.telemetry["counters"]
+        assert counters["serving_fleet_shard_retries_total"] == retries
+        assert (
+            counters["serving_fleet_checkpoint_restores_total"] == restores
+        )
+        assert [s.steps for s in report.sessions] == [
+            s.steps for s in clean.sessions
+        ]
+
     def test_all_shards_poisoned_still_returns(self, monkeypatch):
         traces, profiles = _workload(2)
 
-        def always_down(shard):
+        def always_down(job):
             raise RuntimeError("rack on fire")
 
-        monkeypatch.setattr(fleet_mod, "_serve_shard", always_down)
+        monkeypatch.setattr(fleet_mod, "_serve_shard_epoch", always_down)
         report = fleet_mod.serve_fleet(
             traces, 100.0, profiles=profiles, sessions_per_shard=2
         )
@@ -268,22 +331,22 @@ class TestShardHealing:
 
 # Captured at import time, before any test patches the module attr —
 # _kill_if_marked must delegate to the real implementation.
-_REAL_SERVE_SHARD = fleet_mod._serve_shard
+_REAL_SERVE_SHARD = fleet_mod._serve_shard_epoch
 
 
-def _kill_if_marked(shard):
+def _kill_if_marked(job):
     import os
     import signal
 
-    if shard[0] == [0]:
+    if job[0].indices == [0]:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_SERVE_SHARD(shard)
+    return _REAL_SERVE_SHARD(job)
 
 
 def _serve_with_kill(traces, profiles):
-    original = fleet_mod._serve_shard
+    original = fleet_mod._serve_shard_epoch
     # Patch at module level so the fork-started workers inherit it.
-    fleet_mod._serve_shard = _kill_if_marked  # type: ignore[assignment]
+    fleet_mod._serve_shard_epoch = _kill_if_marked  # type: ignore[assignment]
     try:
         return fleet_mod.serve_fleet(
             traces,
@@ -294,4 +357,4 @@ def _serve_with_kill(traces, profiles):
             shard_timeout_s=120.0,
         )
     finally:
-        fleet_mod._serve_shard = original  # type: ignore[assignment]
+        fleet_mod._serve_shard_epoch = original  # type: ignore[assignment]
