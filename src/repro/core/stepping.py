@@ -27,8 +27,9 @@ import numpy as np
 from repro.core.config import PTrackConfig
 from repro.exceptions import SignalError
 from repro.signal.correlation import (
-    batch_half_cycle_correlation,
-    batch_phase_difference_fraction,
+    _half_cycle_rows,
+    _phase_fractions,
+    _valid_pairs,
     half_cycle_correlation,
     phase_difference_fraction,
 )
@@ -81,18 +82,7 @@ def has_fixed_phase_difference(
     if v.shape != a.shape:
         raise SignalError(f"axis length mismatch: {v.shape} vs {a.shape}")
     frac = phase_difference_fraction(v, a)
-
-    def _circular_distance(x: float, y: float) -> float:
-        d = abs(x - y) % 1.0
-        return min(d, 1.0 - d)
-
-    target = cfg.phase_difference_target
-    tol = cfg.phase_difference_tolerance
-    matches = (
-        _circular_distance(frac, target) <= tol
-        or _circular_distance(frac, (target + 0.5) % 1.0) <= tol
-    )
-    return matches, frac
+    return _phase_matches(frac, cfg), frac
 
 
 def _phase_matches(frac: float, cfg: PTrackConfig) -> bool:
@@ -113,12 +103,17 @@ def batch_stepping_tests(
 ) -> List[Tuple[float, float, bool]]:
     """Both stepping admission tests over many candidate cycles at once.
 
-    Evaluates the half-cycle auto-correlation on each axis
-    (length-grouped batch) and the quarter-period phase signature
-    (vectorised lag search) for every cycle. A cycle that the per-cycle
-    path would reject with a :class:`SignalError` (too short, silent
-    axis) reads ``(0.0, 0.0, False)`` — the same values the decision
-    flow records for a failed admission.
+    Each triple equals the per-cycle path's (:func:`stepping_correlation`
+    on each axis, :func:`has_fixed_phase_difference`) bit for bit,
+    whatever the cycle is batched with. Both axes' half-cycle
+    auto-correlations run in one length-grouped pass; all cycles' phase
+    lags run in one screened pass that computes exact correlations only
+    near each cycle's peak lag and sends any cycle it cannot certify to
+    :func:`repro.signal.correlation.best_lag`. A cycle that the
+    per-cycle path would reject with a :class:`SignalError` (mismatched
+    or fewer than 4 samples, non-finite values) reads
+    ``(0.0, 0.0, False)`` — the same values the decision flow records
+    for a failed admission.
 
     Args:
         verticals: Vertical-axis cycle arrays.
@@ -134,13 +129,14 @@ def batch_stepping_tests(
         raise SignalError(
             f"axis count mismatch: {len(verticals)} vs {len(anteriors)}"
         )
-    corr_a = batch_half_cycle_correlation(anteriors)
-    corr_v = batch_half_cycle_correlation(verticals)
-    fracs = batch_phase_difference_fraction(list(zip(verticals, anteriors)))
-    results: List[Tuple[float, float, bool]] = []
-    for c_a, c_v, frac in zip(corr_a, corr_v, fracs):
-        if not np.isfinite(frac):
-            results.append((0.0, 0.0, False))
-        else:
-            results.append((float(c_a), float(c_v), _phase_matches(float(frac), cfg)))
+    rows, vs, ans = _valid_pairs(zip(verticals, anteriors))
+    results: List[Tuple[float, float, bool]] = [(0.0, 0.0, False)] * len(verticals)
+    if not rows:
+        return results
+    fracs, _ = _phase_fractions(vs, ans)
+    # Both axes' C in one length-grouped pass.
+    corr = _half_cycle_rows(ans + vs).tolist()
+    n = len(rows)
+    for i, c_a, c_v, frac in zip(rows, corr[:n], corr[n:], fracs.tolist()):
+        results[i] = (c_a, c_v, _phase_matches(frac, cfg))
     return results

@@ -11,8 +11,9 @@ buffers its batch and *collects* the cycles that settled
 then the stepping admission tests of **all** sessions' cycles are
 evaluated in one :func:`repro.core.stepping.batch_stepping_tests`
 call, and finally each session *resolves* its own cycles against the
-shared results. The batch kernels are row-wise and length-grouped, so
-the pooled evaluation is bit-identical to per-session calls — the
+shared results. Every cycle's results are independent of what it is
+batched with (see :func:`~repro.core.stepping.batch_stepping_tests`),
+so the pooled evaluation is bit-identical to per-session calls — the
 equivalence the serving tests assert (serial == pooled == sharded).
 """
 
@@ -832,11 +833,13 @@ class SessionPool:
     ) -> List[List[Optional[Tuple[float, float, bool]]]]:
         """One fleet-wide admission-test batch for all sessions' cycles.
 
-        The stepping kernels are evaluated row-wise over length-grouped
-        stacks, so stacking cycles from many sessions into one call
-        returns exactly the values each session would compute alone —
-        while paying the Python/numpy dispatch overhead once per
-        ``append`` instead of once per session.
+        Each cycle's triple is independent of its batch (the half-cycle
+        test runs row-wise over length-grouped stacks, and the screened
+        lag search certifies ``best_lag``'s lag row by row), so stacking
+        cycles from many sessions into one call returns exactly the
+        values each session would compute alone — while paying the
+        Python/numpy dispatch overhead once per ``append`` instead of
+        once per session.
         """
         flat: List[Tuple[int, int, StagedCycle]] = [
             (si, ci, cyc)

@@ -15,7 +15,8 @@ Two PTrack tests live on these primitives (SIII-B1):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,30 +122,43 @@ def batch_half_cycle_correlation(
     Returns:
         Array of ``C`` values aligned with ``segments``.
     """
-    out = np.zeros(len(segments))
+    arrays = [np.asarray(seg, dtype=float) for seg in segments]
+    rows = [
+        i
+        for i, arr in enumerate(arrays)
+        if arr.ndim == 1 and arr.size >= 4 and np.all(np.isfinite(arr))
+    ]
+    out = np.zeros(len(arrays))
+    out[rows] = _half_cycle_rows([arrays[i] for i in rows])
+    return out
+
+
+def _half_cycle_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`batch_half_cycle_correlation` of validated 1-D rows."""
+    out = np.zeros(len(rows))
     by_length: dict = {}
-    arrays: List[np.ndarray] = []
-    for i, seg in enumerate(segments):
-        arr = np.asarray(seg, dtype=float)
-        arrays.append(arr)
-        if arr.ndim == 1 and arr.size >= 4 and np.all(np.isfinite(arr)):
-            by_length.setdefault(arr.size, []).append(i)
+    for i, row in enumerate(rows):
+        by_length.setdefault(row.size, []).append(i)
     for size, indices in by_length.items():
         lag = size // 2
-        mat = np.stack([arrays[i] for i in indices])
-        a, b = mat[:, :-lag], mat[:, lag:]
-        a_c = a - a.mean(axis=1, keepdims=True)
-        b_c = b - b.mean(axis=1, keepdims=True)
-        sa, sb = a.std(axis=1), b.std(axis=1)
+        width = size - lag
+        half = len(indices)
+        # Both lag windows of every row, stacked: (2 * half, width).
+        win = np.array(
+            [rows[i][:-lag] for i in indices] + [rows[i][lag:] for i in indices]
+        )
+        # Row-wise, the same arithmetic as the scalar path: the mean is
+        # sum / width and np.std centres with that mean and sums the
+        # same squares, so reusing the centred rows is bit-equal to it.
+        cen = win - win.sum(axis=1, keepdims=True) / width
+        std = np.sqrt((cen * cen).sum(axis=1) / width)
         # Same relative-scale degeneracy rule as the scalar path (see
         # _degenerate), applied row-wise so the two stay equivalent.
-        ok = (sa > 1e-12 * np.abs(a).max(axis=1)) & (
-            sb > 1e-12 * np.abs(b).max(axis=1)
-        )
-        denom = sa * sb
-        cov = (a_c * b_c).mean(axis=1)
-        vals = np.zeros(len(indices))
-        np.divide(cov, denom, out=vals, where=ok & (denom > 0.0))
+        live = std > 1e-12 * np.abs(win).max(axis=1)
+        denom = std[:half] * std[half:]
+        cov = (cen[:half] * cen[half:]).sum(axis=1) / width
+        vals = np.zeros(half)
+        np.divide(cov, denom, out=vals, where=live[:half] & live[half:] & (denom > 0.0))
         out[indices] = vals
     return out
 
@@ -246,6 +260,8 @@ def best_lag(x: np.ndarray, y: np.ndarray, max_lag: int) -> int:
     walks them in the scalar reference's order (ascending ``|lag|``)
     with the same 1e-12 improvement hysteresis, preserving its
     tie-breaking. ``_best_lag_scalar`` keeps the per-lag reference.
+    Many searches at once go through the screened batch search behind
+    :func:`batch_phase_difference_fraction`, which returns this lag.
 
     Args:
         x: Reference signal.
@@ -280,9 +296,11 @@ def best_lag(x: np.ndarray, y: np.ndarray, max_lag: int) -> int:
 def _best_lag_scalar(x: np.ndarray, y: np.ndarray, max_lag: int) -> int:
     """Per-lag reference implementation of :func:`best_lag`.
 
-    Kept as the behavioural specification for the vectorised search
-    (property-tested equivalent) and as the baseline timed by
-    ``scripts/bench.py``.
+    The behavioural specification that ``best_lag`` is property-tested
+    against, and ``best_lag``'s own answer when a window is
+    ill-conditioned (near-constant), where only the per-lag arithmetic
+    reproduces it. ``benchmarks/bench_runtime.py`` times it as the
+    baseline of the vectorised search.
     """
     a = _validate(x, "x")
     b = _validate(y, "y")
@@ -340,11 +358,14 @@ def batch_phase_difference_fraction(
 ) -> np.ndarray:
     """Phase fractions for many ``(vertical, anterior)`` cycle pairs.
 
-    Each pair's lag search runs on the vectorised
-    :func:`_sliding_pearson` kernel; degenerate pairs (shorter than 4
-    samples, mismatched lengths, non-finite values) read ``nan``
-    instead of raising, so the caller can batch a whole trace's cycles
-    without pre-filtering.
+    Equal to :func:`phase_difference_fraction` pair by pair. All pairs'
+    lag searches run in one screened pass (:func:`_screened_best_lags`):
+    exact Pearson values are computed only near each pair's screened
+    peak, and a pair whose screen cannot certify the peak takes
+    :func:`best_lag`. Degenerate pairs (shorter than 4 samples,
+    mismatched lengths, non-finite values) read ``nan`` instead of
+    raising, so the caller can batch a whole trace's cycles without
+    pre-filtering.
 
     Args:
         pairs: Tuples of equal-length 1-D cycle axes.
@@ -354,15 +375,249 @@ def batch_phase_difference_fraction(
         pairs), aligned with ``pairs``.
     """
     out = np.full(len(pairs), np.nan)
-    for i, (vertical, anterior) in enumerate(pairs):
-        v = np.asarray(vertical, dtype=float)
-        a = np.asarray(anterior, dtype=float)
-        if (
-            v.ndim != 1
-            or v.shape != a.shape
-            or v.size < 4
-            or not (np.all(np.isfinite(v)) and np.all(np.isfinite(a)))
-        ):
-            continue
-        out[i] = phase_difference_fraction(v, a)
+    rows, xs, ys = _valid_pairs(pairs)
+    if rows:
+        out[rows] = _phase_fractions(xs, ys)[0]
     return out
+
+
+def _valid_pairs(
+    pairs: Iterable[tuple],
+) -> Tuple[List[int], List[np.ndarray], List[np.ndarray]]:
+    """Indices and float arrays of the pairs a phase search accepts.
+
+    A pair is accepted when both axes are 1-D, of one length of at
+    least 4 samples, and finite.
+    """
+    rows: List[int] = []
+    xs: List[np.ndarray] = []
+    ys: List[np.ndarray] = []
+    for i, (x, y) in enumerate(pairs):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim == 1 and x.shape == y.shape and x.size >= 4:
+            rows.append(i)
+            xs.append(x)
+            ys.append(y)
+    # One finiteness check for the whole batch, per pair only if it fails.
+    if rows and not np.isfinite(np.concatenate(xs + ys)).all():
+        keep = [
+            j
+            for j in range(len(rows))
+            if np.isfinite(xs[j]).all() and np.isfinite(ys[j]).all()
+        ]
+        rows = [rows[j] for j in keep]
+        xs = [xs[j] for j in keep]
+        ys = [ys[j] for j in keep]
+    return rows, xs, ys
+
+
+def _phase_fractions(
+    xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, List[bool]]:
+    """:func:`phase_difference_fraction` of accepted pairs, all at once.
+
+    Returns:
+        ``(fractions, certified)``: per pair, the phase fraction and
+        whether the screen's certificate decided its lag (``False``: the
+        pair took :func:`best_lag`).
+    """
+    # phase_difference_fraction's period is also best_lag's bound.
+    periods = np.array([x.size // 2 for x in xs])
+    lags, certified = _screened_best_lags(xs, ys, periods)
+    return (np.array(lags) % periods) / periods, certified
+
+
+#: Unit roundoff of float64.
+_UNIT = np.finfo(float).eps / 2.0
+#: Factor applied to the screen's first-order error bound.
+_BOUND_SAFETY = 4.0
+#: Row amplitudes the screen certifies. Within them no sum of squares,
+#: product of windows' variances or cross sum overflows or underflows.
+_SCREEN_RANGE = (1e-50, 1e50)
+
+
+def _screened_best_lags(
+    xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    max_lags: Sequence[int],
+) -> Tuple[List[int], List[bool]]:
+    """:func:`best_lag` for many rows, exact values only near each peak.
+
+    1. *Screen* (:func:`_screen_lags`). One batched pass over all rows,
+       whatever their lengths, gives an approximate Pearson value and an
+       error bound for every lag.
+    2. *Confirm.* The candidates are the lags whose screened upper
+       bound comes within 1e-12 of the best screened lower bound. A lone
+       candidate clears every other lag by more than the hysteresis, so
+       the walk returns it whatever its exact value. Several candidates
+       get exact values from ``_sliding_pearson`` on the row alone;
+       it computes each lag independently of the others, so these
+       values are bit-equal to ``best_lag``'s.
+    3. *Walk.* ``best_lag``'s ascending-``|lag|`` walk with its 1e-12
+       hysteresis over the candidates. Every other lag sits more than
+       1e-12 below every candidate, so it can neither take nor block a
+       step of the full walk: the result is ``best_lag``'s.
+    4. *Certificate.* Only rows whose bound is finite, whose every
+       window passes ``best_lag``'s ill-conditioning test outside that
+       bound, and whose other lags all sit more than 1e-12 below the
+       smallest exact candidate value are decided here; every other row
+       takes :func:`best_lag`.
+
+    Args:
+        xs: Reference rows, validated 1-D, finite, at least 4 samples.
+        ys: Shifted rows, each as long as its ``xs`` row.
+        max_lags: Per-row search bound, as passed to ``best_lag``.
+
+    Returns:
+        ``(lags, certified)``: each row's ``best_lag`` result and
+        whether the certificate decided it.
+    """
+    ns = np.array([x.size for x in xs])
+    grid, valid, values, errs, certified = _screen_lags(
+        xs, ys, np.minimum(max_lags, ns - 2)
+    )
+    hi = values + (errs + 1e-12)[:, None]
+    candidates = valid & (hi >= values.max(axis=1, keepdims=True) - errs[:, None])
+    several = candidates.sum(axis=1) > 1
+    # Only several candidates need exact values; +inf elsewhere keeps a
+    # lone candidate's row out of the check below.
+    exact = np.full(values.shape, np.inf)
+    for r in np.flatnonzero(several & certified):
+        ks = np.flatnonzero(candidates[r])
+        exact[r, ks] = _sliding_pearson(xs[r], ys[r], grid[ks])
+    # Every other lag must sit more than 1e-12 below every candidate.
+    floor = exact.min(axis=1, keepdims=True)
+    certified &= ~(valid & ~candidates & (hi >= floor)).any(axis=1)
+    # A lone candidate is the answer; several go through the walk.
+    lags = grid[candidates.argmax(axis=1)].tolist()
+    for r in np.flatnonzero(several | ~certified):
+        if not certified[r]:
+            lags[r] = best_lag(xs[r], ys[r], int(max_lags[r]))
+            continue
+        walk = sorted(
+            zip(grid[candidates[r]].tolist(), exact[r, candidates[r]].tolist()),
+            key=lambda pair: (abs(pair[0]), pair[0]),
+        )
+        best_val = -np.inf
+        for lag, val in walk:
+            if val > best_val + 1e-12:
+                best_val = val
+                lags[r] = lag
+    return lags, certified.tolist()
+
+
+def _screen_lags(
+    xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    max_lags: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Approximate Pearson values with error bounds, every lag of every row.
+
+    The rows are centred, zero-padded to a common width and processed
+    together. Lag ``+k`` pairs ``x[:n-k]`` with ``y[k:]`` and lag ``-k``
+    pairs ``x[k:]`` with ``y[:n-k]``, so every window's sum and sum of
+    squares is a prefix sum at ``n - k`` or a row total minus a prefix
+    sum at ``k``; one zero-padded ``rfft``/``irfft`` gives every lag's
+    cross sum. Each value's bound covers its distance to the true
+    correlation and that of ``_sliding_pearson``.
+
+    Returns:
+        ``(lags, valid, values, bounds, certified)``: the lags, shape
+        ``(L,)``, ordered ``-0, -1, .., -K, +0, +1, .., +K``; per row and
+        lag whether the lag is searched (``-0`` never is) and the
+        screened value, shape ``(R, L)``; per row the bound on every
+        screened value's error and whether the row is certified: its
+        bound is finite and every window decidedly passes ``best_lag``'s
+        ill-conditioning test.
+    """
+    n_rows = len(xs)
+    ns = np.array([x.size for x in xs])
+    n = ns[:, None]
+    width = int(ns.max())
+    top = int(max_lags.max())
+    k = np.arange(top + 1)
+    # Rows x and y, each after a leading zero so that cumulative sums
+    # read as prefix sums P[k] of the first k samples.
+    raw = np.zeros((n_rows, 2, width + 1))
+    for r, (x, y) in enumerate(zip(xs, ys)):
+        raw[r, 0, 1 : x.size + 1] = x
+        raw[r, 1, 1 : y.size + 1] = y
+    scale = np.abs(raw).max(axis=2)  # (R, axis)
+    searched = k <= max_lags[:, None]
+    valid = np.repeat(searched[:, None], 2, axis=1)  # (R, sign, K+1)
+    valid[:, 0, 0] = False
+    # Rows out of range may overflow or underflow anywhere below; they
+    # are not certified, and rows never mix.
+    with np.errstate(all="ignore"):
+        # Centre each row first so window sums do not cancel its offset.
+        cols = np.arange(width + 1)
+        cen = raw - raw.sum(axis=2, keepdims=True) / n[:, :, None]
+        cen *= ((cols > 0) & (cols <= n))[:, None, :]
+        prefix = np.cumsum(np.array([cen, cen * cen]), axis=3)  # (2, R, axis, W+1)
+
+        # Cross sums of every lag from one circular correlation, long
+        # enough that no lag wraps around; powers of two keep the
+        # transform plans few and cached.
+        size = 1 << (width + top).bit_length()
+        spec = np.fft.rfft(cen[:, :, 1:], n=size, axis=2)
+        cross_all = np.fft.irfft(spec[:, 0].conj() * spec[:, 1], n=size, axis=1)
+        cross = cross_all[:, np.array([-k % size, k])]  # (R, sign, K+1)
+
+        # Window sums and sums of squares per sign (-k, +k) and axis
+        # (x, y): -k takes x[k:] and y[:n-k], +k takes x[:n-k] and y[k:].
+        # x[k:] is x's total minus its prefix at k, x[:n-k] its prefix
+        # at n-k. Shape (2, R, sign, axis, K+1).
+        total = prefix[:, :, :, -1:]  # the padding adds zeros
+        parts = np.zeros((2, n_rows, 4, top + 1))
+        parts[:, :, :2] = total - prefix[:, :, :, : top + 1]
+        for r, length in enumerate(ns.tolist()):
+            reach = min(top, length) + 1
+            # P[n-k] for k = 0 .. reach - 1
+            parts[:, r, 2:, :reach] = prefix[:, r, :, length::-1][:, :, :reach]
+        win = parts[:, :, [[0, 3], [2, 1]]]
+        sqsum = total[1][:, None]  # Q per row and axis, (R, 1, axis, 1)
+        sums, squares = win[0], win[1]
+        m = (n - np.minimum(k, n - 1))[:, None, :]  # (R, 1, K+1)
+        # m * variance per window; unsearched lags read +inf.
+        var = np.where(valid[:, :, None], squares - sums * sums / m[:, :, None], np.inf)
+        cov = cross - sums[:, :, 0] * sums[:, :, 1] / m
+        values = cov / np.sqrt(var[:, :, 0] * var[:, :, 1])
+        # Per row and axis: the worst window conditioning Q / var, with
+        # Q the row's sum of squares, and the smallest window variance.
+        worst = (sqsum / var).max(axis=(1, 3))
+        least = (var / m[:, :, None]).min(axis=(1, 3))
+
+        # Error model, first order in the unit roundoff u. Sequential
+        # prefix sums err by at most about n*u of the row's absolute
+        # mass and (sum |x|)^2 <= n*Q, so a window's m*variance errs by
+        # at most g*Q; the transform errs by about log2(size)*sqrt(size)
+        # *u of the product of the row norms, so a covariance errs by at
+        # most h*sqrt(Qx*Qy). If var > 2*g*Q on every window, each
+        # screened value lies within (h/2 + 2g + 2u)*2*(Qx/var_x +
+        # Qy/var_y) of the true one, and _sliding_pearson's within
+        # (4n + 16)*u. ``coef`` bounds h/2 + 2g + 2u, and so g, at the
+        # row's shortest window; the row's bound takes its worst one.
+        u = _UNIT
+        shortest = ns - np.minimum(max_lags, ns - 1)
+        transform = 8.0 * math.log2(size) * math.sqrt(size) + 11.0
+        coef = u * (transform + ns * (4.0 + (10 * ns + 13) / shortest))
+        exact_err = (4 * ns + 20) * u + 1e-15
+        bound = _BOUND_SAFETY * (2.0 * coef * worst.sum(axis=1) + exact_err)
+        # best_lag's ill-conditioning test, sqrt(var / m) > 1e-6 *
+        # amplitude on every window, decided outside the bound: with
+        # var > 2*g*Q the true variance exceeds half the screened one.
+        limit = 2.0 * (1e-6 * scale) ** 2 * (1.0 + 1e-9)
+        certified = (
+            (coef[:, None] * worst < 0.5).all(axis=1)
+            & (least > limit).all(axis=1)
+            & (bound < 0.1)
+            & ((scale > _SCREEN_RANGE[0]) & (scale < _SCREEN_RANGE[1])).all(axis=1)
+        )
+    # Unsearched lags and uncertified rows carry no information.
+    values[~valid | ~certified[:, None, None]] = -np.inf
+    bound[~certified] = 0.0
+
+    lags = np.concatenate([-k, k])
+    return lags, valid.reshape(n_rows, -1), values.reshape(n_rows, -1), bound, certified

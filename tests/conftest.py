@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.baselines.scar import ScarStepCounter
 from repro.core.config import PTrackConfig
@@ -20,6 +21,11 @@ from repro.simulation.profiles import SimulatedUser
 from repro.simulation.spoofer import simulate_spoofer
 from repro.simulation.walker import simulate_walk
 from repro.types import ActivityKind
+
+#: Deeper search for the bit-identity properties of the screened
+#: stepping kernel; CI runs ``tests/test_stepping_kernel.py`` with
+#: ``--hypothesis-profile=stepping-kernel-deep``.
+settings.register_profile("stepping-kernel-deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture()
