@@ -31,7 +31,6 @@ MODULES = [
     "repro.apps",
     "repro.eval",
     "repro.experiments",
-    "repro.benchsuites",
 ]
 
 

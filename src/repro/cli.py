@@ -24,8 +24,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.benchsuites import SUITE_CHOICES
-
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro import PTrack
@@ -262,44 +260,6 @@ def _cmd_profiles(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Thin wrapper over ``scripts/bench.py`` for installed packages.
-
-    The benchmark suites live in the repo's ``scripts``/``benchmarks``
-    directories rather than the package, so the verb locates the
-    checkout that the installed (editable) package came from and
-    forwards to its driver.
-    """
-    import importlib.util
-    import pathlib
-
-    import repro
-
-    pkg_dir = pathlib.Path(repro.__file__).resolve().parent
-    script = None
-    for root in pkg_dir.parents:
-        candidate = root / "scripts" / "bench.py"
-        if candidate.is_file():
-            script = candidate
-            break
-    if script is None:
-        from repro.exceptions import ConfigurationError
-
-        raise ConfigurationError(
-            "scripts/bench.py not found above the installed package; "
-            "`repro bench` needs a source checkout (pip install -e .)"
-        )
-    spec = importlib.util.spec_from_file_location("_repro_bench_script", script)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    forwarded: List[str] = ["--suite", args.suite]
-    if args.check:
-        forwarded.append("--check")
-    if args.output is not None:
-        forwarded.extend(["--output", args.output])
-    return mod.main(forwarded)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -376,24 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profiles.set_defaults(func=_cmd_profiles)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the tracked benchmark suites (wraps scripts/bench.py)",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=SUITE_CHOICES,
-        default="all",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="smoke mode: tiny workloads, finishes in seconds",
-    )
-    bench.add_argument(
-        "--output", default=None, help="where to write the JSON scoreboard"
-    )
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

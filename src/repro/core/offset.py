@@ -121,7 +121,7 @@ def _offset_from_points_scalar(
 
     Kept as the behavioural specification for the vectorised matching
     (asserted equivalent within 1e-12 by the golden and property
-    suites) and as the baseline timed by ``scripts/bench.py``.
+    suites).
     """
     cfg = config if config is not None else PTrackConfig()
     if n < 2:

@@ -562,8 +562,12 @@ class _ProfileCtx:
         up exactly where this stream left off. A
         :class:`~repro.exceptions.ProfileConflictError` propagates —
         it means an external writer raced this fleet, and silently
-        overwriting either side would lose training evidence.
+        overwriting either side would lose training evidence. All
+        records commit in one :meth:`~repro.profiles.ProfileStore.put_many`
+        (one write per touched shard), so a conflict commits none of
+        them.
         """
+        batch: List[ProfileRecord] = []
         for uid in sorted(user_ids):
             trainer = self.trainers[uid]
             try:
@@ -576,7 +580,7 @@ class _ProfileCtx:
                 profile = est.profile
             elif est is not None and profile is not None:
                 profile = replace(profile, arm_length_m=est.arm_length_m)
-            committed = self.store.put(
+            batch.append(
                 ProfileRecord(
                     user_id=uid,
                     profile=profile,
@@ -591,12 +595,16 @@ class _ProfileCtx:
                         None if previous is None else previous.cadence_hz
                     ),
                     trainer_state=trainer.state_dict(),
-                ),
-                expected_version=self.expected[uid],
+                )
             )
-            self.expected[uid] = committed.version
-            self.records[uid] = committed
-            self.updated += 1
+        committed = self.store.put_many(
+            batch,
+            expected_versions={uid: self.expected[uid] for uid in user_ids},
+        )
+        for uid, record in committed.items():
+            self.expected[uid] = record.version
+            self.records[uid] = record
+        self.updated += len(committed)
 
     def shard_versions(self, indices: Sequence[int]) -> Dict[str, int]:
         """Current committed version per user serving in a shard."""

@@ -299,8 +299,7 @@ def _best_lag_scalar(x: np.ndarray, y: np.ndarray, max_lag: int) -> int:
     The behavioural specification that ``best_lag`` is property-tested
     against, and ``best_lag``'s own answer when a window is
     ill-conditioned (near-constant), where only the per-lag arithmetic
-    reproduces it. ``benchmarks/bench_runtime.py`` times it as the
-    baseline of the vectorised search.
+    reproduces it.
     """
     a = _validate(x, "x")
     b = _validate(y, "y")

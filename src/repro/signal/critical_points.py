@@ -148,8 +148,7 @@ def _zero_crossings_scalar(
     """Per-sample reference implementation of :func:`zero_crossings`.
 
     Kept as the behavioural specification for the vectorised kernel
-    (property-tested bit-identical) and as the baseline timed by
-    ``scripts/bench.py``.
+    (property-tested bit-identical).
     """
     arr = _validate_crossing_args(x, hysteresis)
     points: List[CriticalPoint] = []

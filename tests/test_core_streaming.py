@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import PTrack
-from repro.core.streaming import ReprocessingStreamingPTrack, StreamingPTrack
+from repro.core.streaming import StreamingPTrack
 from repro.exceptions import ConfigurationError, SignalError
 from repro.simulation.walker import simulate_walk
+
+from reprocessing_reference import ReprocessingStreamingPTrack
 
 
 class TestConstruction:

@@ -289,6 +289,55 @@ class TestSelfTraining:
             assert record.observations > 0
             assert record.trainer_state is not None
 
+    def test_write_back_commits_one_batch(self, tmp_path, monkeypatch):
+        store = _seeded_store(tmp_path)
+        batches = []
+        write_backs = []
+        put_many = store.put_many
+
+        def spy_put_many(records, expected_versions=None):
+            records = list(records)
+            batches.append(sorted(r.user_id for r in records))
+            return put_many(records, expected_versions=expected_versions)
+
+        write_back = _ProfileCtx.write_back
+
+        def spy_write_back(ctx, user_ids):
+            write_backs.append(sorted(user_ids))
+            return write_back(ctx, user_ids)
+
+        monkeypatch.setattr(store, "put_many", spy_put_many)
+        monkeypatch.setattr(_ProfileCtx, "write_back", spy_write_back)
+        report = serve_fleet(
+            _TRACES,
+            RATE,
+            user_ids=_USER_IDS,
+            profile_store=store,
+            self_train=True,
+            workers=1,
+            batch_samples=BATCH,
+        )
+        # One whole-stream epoch in one shard: one write-back, and it
+        # commits every user's record in a single put_many.
+        assert write_backs == [sorted(_USER_IDS)]
+        assert batches == write_backs
+        assert report.profiles_updated == len(_FLEET)
+
+    def test_write_back_conflict_commits_nothing(self, tmp_path):
+        store = _seeded_store(tmp_path)
+        ctx = _ProfileCtx(store, _USER_IDS, store.get_many(_USER_IDS), None)
+        # An external writer advances the user written back last; the
+        # users sorted before it must not be committed either.
+        last = sorted(_USER_IDS)[-1]
+        store.put(ProfileRecord(user_id=last, profile=_PROFILES[0]))
+        with pytest.raises(ProfileConflictError):
+            ctx.write_back(set(_USER_IDS))
+        for uid in _USER_IDS:
+            record = store.get(uid)
+            assert record.version == (2 if uid == last else 1)
+            assert record.trainer_state is None
+        assert ctx.updated == 0
+
     def test_observations_accumulate_across_runs(self, tmp_path):
         store = _seeded_store(tmp_path)
         kwargs = dict(

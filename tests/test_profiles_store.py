@@ -127,6 +127,26 @@ class TestDurability:
     def _shard_file(self, store, uid):
         return store.directory / f"shard-{store.shard_of(uid):05d}.pshard"
 
+    def test_population_reads_back_cold(self, tmp_path):
+        # A population written in batches spans many shards; a fresh
+        # instance with an empty cache finds every record.
+        n = 2_000
+        ids = [f"user-{i:07d}" for i in range(n)]
+        store = ProfileStore(tmp_path)
+        for start in range(0, n, 500):
+            store.put_many(
+                record(uid, observations=i)
+                for i, uid in enumerate(ids[start : start + 500], start)
+            )
+        cold = ProfileStore(tmp_path)
+        wanted = ids[::7]
+        got = cold.get_many(wanted)
+        assert sorted(got) == wanted
+        assert all(got[uid].observations == int(uid[5:]) for uid in wanted)
+        stats = cold.stats()
+        assert stats["records"] == n
+        assert stats["populated_shards"] > 1
+
     def test_garbage_shard_quarantined_as_miss(self, tmp_path):
         store = ProfileStore(tmp_path)
         store.put(record("alice"))

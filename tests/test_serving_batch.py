@@ -288,6 +288,16 @@ def test_batched_pool_bit_identical_to_serial_and_lockstep():
     _assert_credits_identical(lockstep, serial)
 
 
+@pytest.mark.parametrize("n_sessions", [4, 16])
+def test_batched_pool_steps_track_truth(n_sessions):
+    # Fleet-wide steps stay within six per session of the simulator's
+    # ground truth, through the batched rounds and the batched flush.
+    workloads = synthesize_workload(n_sessions, 8.0, seed=13)
+    _, pool = _serve_batched(workloads, batch=256)
+    truth = sum(w.true_steps for w in workloads)
+    assert abs(pool.total_steps - truth) <= 6 * n_sessions
+
+
 def test_batched_pool_ragged_session_lengths():
     # Sessions leave mid-stream: shorter traces stop receiving batches
     # while the rest keep going.

@@ -7,7 +7,13 @@ import pytest
 
 from repro.core.streaming import StreamingPTrack
 from repro.exceptions import ConfigurationError
-from repro.faults import FaultPolicy, Outage, SampleDropout, inject_faults
+from repro.faults import (
+    FaultPolicy,
+    Outage,
+    SampleDropout,
+    Saturation,
+    inject_faults,
+)
 from repro.serving import SessionPool, serve_fleet, synthesize_workload
 from repro.serving import fleet as fleet_mod
 
@@ -184,6 +190,32 @@ class TestDegradedFleet:
         assert report.samples_rejected > 0
         assert report.gaps_reset > 0
         assert report.total_steps > 0
+
+    def test_saturating_fleet_loses_no_session(self):
+        # Dropout, outages and clipping together, repaired under a
+        # policy that knows the clip limit: every session completes and
+        # the defects reach the health counters.
+        ws = synthesize_workload(4, 20.0, seed=5)
+        injectors = [
+            SampleDropout(prob=0.02),
+            Outage(rate_per_min=1.0, min_gap_s=0.5, max_gap_s=1.5),
+            Saturation(limit=20.0),
+        ]
+        traces = [
+            inject_faults(w.samples, injectors, seed=5, index=i)
+            for i, w in enumerate(ws)
+        ]
+        report = serve_fleet(
+            traces,
+            100.0,
+            profiles=[w.profile for w in ws],
+            batch_samples=50,
+            workers=1,
+            fault_policy=FaultPolicy(saturation_limit=20.0),
+        )
+        assert len(report.sessions) == 4
+        assert all(s.status == "ok" for s in report.sessions)
+        assert report.samples_repaired + report.samples_rejected > 0
 
     def test_clean_fleet_identical_with_policy(self):
         traces, profiles = _workload(3)
